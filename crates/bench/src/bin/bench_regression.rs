@@ -19,7 +19,7 @@
 //! Usage: `cargo run --release -p shift-bnn-bench --bin bench_regression -- \
 //!   [--baseline BENCH_sweep_summary.json --fresh out/BENCH_sweep_summary.json] \
 //!   [--tolerance 1e-9] [--speedups out/BENCH_hot.json] \
-//!   [--min-speedup simd_gemm:1.3] [--min-speedup fused_sampling:1.5]`
+//!   [--min-speedup simd_gemm:1.3] [--min-speedup eps_retrieve:3.0]`
 
 use shift_bnn::sweep::json::Json;
 use shift_bnn_bench::regression::compare;

@@ -4,7 +4,7 @@
 //!
 //! 1. the packed im2col+GEMM convolution kernels against the retained reference loop nests
 //!    (per geometry × direction, asserting bit-identical outputs as it goes);
-//! 2. word-parallel ε generation against the bit-serial LFSR walk;
+//! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks;
 //! 3. a traced engine run against the identical untraced run (responses asserted
 //!    byte-identical) — the `obs_overhead` ratio gated by `bench_regression`;
 //! 4. the steady-state allocation counts of a full training iteration, a served request and
@@ -158,6 +158,13 @@ fn main() {
         e.word_parallel_ns / 1e3,
         e.speedup(),
         e.digest
+    );
+    println!(
+        "ε retrieval ({} values): bit-serial {:.1} µs, word-parallel {:.1} µs ({:.2}x)",
+        e.count,
+        e.retrieve_serial_ns / 1e3,
+        e.retrieve_word_parallel_ns / 1e3,
+        e.retrieve_speedup(),
     );
     println!(
         "traced serving ({} requests, {} events): untraced {:.1} µs, traced {:.1} µs \

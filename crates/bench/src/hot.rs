@@ -7,8 +7,11 @@
 //!   direction (forward / grad-input / grad-weights). Each comparison also *checks* the two
 //!   paths produce bit-identical outputs and records an FNV-1a digest of the result bits —
 //!   the digests (not the timings) go into the committed `BENCH_hot_summary.json`;
-//! * **ε generation** — word-parallel [`Grng::fill_epsilon`](bnn_lfsr::Grng::fill_epsilon)
-//!   against the bit-serial `next_epsilon` loop, plus a stream digest;
+//! * **ε generation and retrieval** — word-parallel
+//!   [`Grng::fill_epsilon`](bnn_lfsr::Grng::fill_epsilon) against the bit-serial
+//!   `next_epsilon` loop, plus a stream digest, and word-parallel
+//!   [`Grng::fill_retrieved`](bnn_lfsr::Grng::fill_retrieved) against the bit-serial
+//!   `retrieve_epsilon` loop over the same block;
 //! * **steady-state probes** — a full training iteration ([`TrainingProbe`]) and a served
 //!   request ([`ServeProbe`]), used by the allocation-counting test and by `hot_bench` to
 //!   assert the zero-allocation steady state at the allocator.
@@ -362,28 +365,47 @@ pub fn run_fused_serve_bench(reps: usize, samples: usize) -> FusedServeBench {
     FusedServeBench { samples, per_sample_ns, fused_ns, digest }
 }
 
-/// Timing result of the ε-generation comparison.
+/// Timing result of the ε-generation and ε-retrieval comparisons.
 #[derive(Debug, Clone)]
 pub struct EpsilonBench {
-    /// ε values generated per call.
+    /// ε values generated (and retrieved) per call.
     pub count: usize,
     /// Bit-serial `next_epsilon` loop, nanoseconds per call.
     pub serial_ns: f64,
     /// Word-parallel `fill_epsilon`, nanoseconds per call.
     pub word_parallel_ns: f64,
+    /// Bit-serial `retrieve_epsilon` loop, nanoseconds per call.
+    pub retrieve_serial_ns: f64,
+    /// Word-parallel `fill_retrieved`, nanoseconds per call.
+    pub retrieve_word_parallel_ns: f64,
     /// FNV-1a digest of the (identical) generated stream.
     pub digest: String,
 }
 
 impl EpsilonBench {
-    /// serial / word-parallel wall-clock ratio.
+    /// serial / word-parallel generation wall-clock ratio.
     pub fn speedup(&self) -> f64 {
         self.serial_ns / self.word_parallel_ns
+    }
+
+    /// serial / word-parallel retrieval wall-clock ratio — the `eps_retrieve` gate.
+    pub fn retrieve_speedup(&self) -> f64 {
+        self.retrieve_serial_ns / self.retrieve_word_parallel_ns
+    }
+}
+
+/// Retrieves `out.len()` ε values one bit-serial backward step at a time, written in
+/// generation order like [`Grng::fill_retrieved`].
+fn retrieve_serially(grng: &mut Grng, out: &mut [f32]) {
+    for slot in out.iter_mut().rev() {
+        *slot = grng.retrieve_epsilon() as f32;
     }
 }
 
 /// Benchmarks word-parallel vs bit-serial generation of `count` ε values on the 256-bit
-/// Shift-BNN GRNG (both paths produce — and the digest pins — the identical stream).
+/// Shift-BNN GRNG (both paths produce — and the digest pins — the identical stream), then
+/// word-parallel vs bit-serial retrieval of the same block, asserted to return exactly that
+/// block before either is timed.
 pub fn run_epsilon_bench(reps: usize, count: usize) -> EpsilonBench {
     let mut buf = vec![0.0f32; count];
     let mut word = Grng::shift_bnn_default(0x5EED).unwrap();
@@ -405,7 +427,26 @@ pub fn run_epsilon_bench(reps: usize, count: usize) -> EpsilonBench {
             *slot = serial.next_epsilon() as f32;
         }
     });
-    EpsilonBench { count, serial_ns, word_parallel_ns, digest }
+
+    let mut word = Grng::shift_bnn_default(0x5EED).unwrap();
+    word.fill_epsilon(&mut buf);
+    word.set_mode(GrngMode::Backward);
+    let mut serial = word.clone();
+    word.fill_retrieved(&mut buf);
+    assert_eq!(digest, digest_f32(&buf), "word-parallel retrieval diverged");
+    retrieve_serially(&mut serial, &mut buf);
+    assert_eq!(digest, digest_f32(&buf), "bit-serial retrieval diverged");
+    // Both walks keep rewinding past the seed while timed; every position is a valid pattern.
+    let retrieve_word_parallel_ns = best_of(reps, || word.fill_retrieved(&mut buf));
+    let retrieve_serial_ns = best_of(reps, || retrieve_serially(&mut serial, &mut buf));
+    EpsilonBench {
+        count,
+        serial_ns,
+        word_parallel_ns,
+        retrieve_serial_ns,
+        retrieve_word_parallel_ns,
+        digest,
+    }
 }
 
 /// Geometric mean of a slice of ratios.
@@ -825,6 +866,7 @@ pub fn full_json(
                 ("simd_gemm", Json::Float(geometric_mean(&simd))),
                 ("fused_sampling", Json::Float(fused.speedup())),
                 ("obs_overhead", Json::Float(obs.overhead())),
+                ("eps_retrieve", Json::Float(epsilon.retrieve_speedup())),
             ]),
         ),
         (
@@ -834,6 +876,9 @@ pub fn full_json(
                 ("serial_ns", Json::Float(epsilon.serial_ns)),
                 ("word_parallel_ns", Json::Float(epsilon.word_parallel_ns)),
                 ("speedup", Json::Float(epsilon.speedup())),
+                ("retrieve_serial_ns", Json::Float(epsilon.retrieve_serial_ns)),
+                ("retrieve_word_parallel_ns", Json::Float(epsilon.retrieve_word_parallel_ns)),
+                ("retrieve_speedup", Json::Float(epsilon.retrieve_speedup())),
                 ("digest", Json::Str(epsilon.digest.clone())),
             ]),
         ),
@@ -895,6 +940,7 @@ mod tests {
         assert!(doc.contains("\"simd_gemm\""));
         assert!(doc.contains("\"fused_sampling\""));
         assert!(doc.contains("\"obs_overhead\""));
+        assert!(doc.contains("\"eps_retrieve\""));
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl BayesLinear {
     }
 
     /// Samples this layer's weights for the current ε block into a scratch tensor.
-    fn sample_weights(&self, epsilon: &[f32], scratch: &mut Scratch) -> Tensor {
+    fn sample_weights(&mut self, epsilon: &[f32], scratch: &mut Scratch) -> Tensor {
         let mut w = scratch.take_tensor(self.weights.shape());
         self.weights.sample_into(epsilon, self.config.precision, &mut w);
         w
@@ -348,12 +348,12 @@ impl Layer for BayesLinear {
 
     /// Fused evaluation: all `S` sampled matvecs become one wide GEMM. Per sample the layer
     /// draws ε and samples `w_s` exactly as [`Layer::forward`] does, then packs the weights
-    /// *transposed* into one `[in, S·out]` panel (`wt[i][s·out + o] = w_s[o][i]`);
+    /// *transposed* into one `[in, S·out]` panel (`wt[i][s·out + o] = w_s[o][i]`, written
+    /// panel row by panel row so the stores stay contiguous);
     /// [`fused_linear_accumulate`]'s i-outer rank-1 updates then add each output scalar's
     /// terms in precisely the per-sample dot loop's ascending-`i` order, so the stacked
     /// result is bit-identical (pinned by the kernel's proptest and the serve/train identity
-    /// tests). When `train` is false the complexity-loss transcendentals and the input cache
-    /// are skipped — the dominant serving win on MLP stacks.
+    /// tests). When `train` is false the complexity-loss sum and the input cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -384,9 +384,9 @@ impl Layer for BayesLinear {
                 cache_tensor(&mut self.cached_inputs, s, input, scratch);
             }
             let wd = w.data();
-            for o in 0..outf {
-                for (i, &wv) in wd[o * inf..(o + 1) * inf].iter().enumerate() {
-                    wt[i * width + s * outf + o] = wv;
+            for (i, row) in wt.chunks_exact_mut(width).enumerate() {
+                for (o, slot) in row[s * outf..(s + 1) * outf].iter_mut().enumerate() {
+                    *slot = wd[o * inf + i];
                 }
             }
         }
@@ -597,7 +597,7 @@ impl BayesConv2d {
         &self.bias
     }
 
-    fn sample_weights(&self, epsilon: &[f32], scratch: &mut Scratch) -> Tensor {
+    fn sample_weights(&mut self, epsilon: &[f32], scratch: &mut Scratch) -> Tensor {
         let mut w = scratch.take_tensor(self.weights.shape());
         self.weights.sample_into(epsilon, self.config.precision, &mut w);
         w
@@ -639,9 +639,8 @@ impl Layer for BayesConv2d {
 
     /// Fused evaluation: the convolution itself stays per-sample (each sample owns a full
     /// im2col+GEMM pass over its own sampled kernel), but inference-only calls skip the
-    /// complexity-loss transcendentals and the input cache — the dominant per-sample serving
-    /// cost for convolutional stacks. Training calls defer to the split walk, which leaves
-    /// byte-identical caches for the per-sample backward stage.
+    /// complexity-loss sum and the input cache. Training calls defer to the split walk, which
+    /// leaves byte-identical caches for the per-sample backward stage.
     fn forward_all(
         &mut self,
         stacked: Tensor,

@@ -10,6 +10,10 @@
 //! * `Δσ = ε·(∂NLL/∂w + λ·w/σ_c²) − λ/σ`, then `Δρ = Δσ·sigmoid(ρ)` through the softplus
 //!   reparameterization. The ε factor is why the backward stage needs every forward ε again —
 //!   the data-movement problem Shift-BNN eliminates.
+//!
+//! Only ε differs between the `S` samples of an iteration: σ, ln σ and sigmoid(ρ) are
+//! functions of ρ alone, which changes only at [`VariationalParams::sgd_step`]. They are
+//! therefore cached per weight and computed once per update instead of once per sample.
 
 use bnn_tensor::activation::{sigmoid, softplus, softplus_inverse};
 use bnn_tensor::init::{fan_in_out, xavier_uniform};
@@ -45,22 +49,88 @@ impl BayesConfig {
     }
 }
 
+/// Per-weight functions of ρ that the samplers and gradient readers share, valid for the ρ
+/// they were filled from. Each tier fills lazily on first use and is refilled in place (no
+/// allocation) after ρ changes: a serving replica only ever fills σ, and construction never
+/// pays for either tier.
+#[derive(Debug, Clone, Default)]
+struct SigmaCache {
+    /// `σ = softplus(ρ)`, current while `sigma_fresh`.
+    sigma: Vec<f32>,
+    /// `ln σ` in f64, as the complexity loss accumulates it, current while `training_fresh`.
+    ln_sigma: Vec<f64>,
+    /// `sigmoid(ρ)`, the softplus derivative, current while `training_fresh`.
+    sigmoid: Vec<f32>,
+    sigma_fresh: bool,
+    training_fresh: bool,
+}
+
+impl SigmaCache {
+    /// σ for `rho`, filling it if ρ changed since the last fill.
+    fn sigma(&mut self, rho: &Tensor) -> &[f32] {
+        if !self.sigma_fresh {
+            self.sigma.clear();
+            self.sigma.extend(rho.data().iter().map(|&r| softplus(r)));
+            self.sigma_fresh = true;
+        }
+        &self.sigma
+    }
+
+    /// Every cached term for `rho`, filling whichever tier is stale.
+    fn training(&mut self, rho: &Tensor) -> &Self {
+        self.sigma(rho);
+        if !self.training_fresh {
+            self.ln_sigma.clear();
+            self.ln_sigma.extend(self.sigma.iter().map(|&s| (s as f64).ln()));
+            self.sigmoid.clear();
+            self.sigmoid.extend(rho.data().iter().map(|&r| sigmoid(r)));
+            self.training_fresh = true;
+        }
+        self
+    }
+
+    /// Marks every term stale (ρ changed); the buffers are kept for the refill.
+    fn invalidate(&mut self) {
+        self.sigma_fresh = false;
+        self.training_fresh = false;
+    }
+}
+
 /// The (μ, ρ) parameter pair of one Bayesian weight tensor, with gradient accumulators.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// σ, ln σ and sigmoid(ρ) are cached per weight. The cache is derived state: it holds the
+/// values of the current ρ whenever a reader uses it, fills on first use after construction
+/// or [`VariationalParams::sgd_step`] (never at construction), and is ignored by `PartialEq`
+/// and by the checkpoint format, which capture μ, ρ and the two gradients only.
+#[derive(Debug, Clone)]
 pub struct VariationalParams {
     mu: Tensor,
     rho: Tensor,
     grad_mu: Tensor,
     grad_rho: Tensor,
+    cache: SigmaCache,
+}
+
+impl PartialEq for VariationalParams {
+    fn eq(&self, other: &Self) -> bool {
+        self.mu == other.mu
+            && self.rho == other.rho
+            && self.grad_mu == other.grad_mu
+            && self.grad_rho == other.grad_rho
+    }
 }
 
 impl VariationalParams {
+    fn assemble(mu: Tensor, rho: Tensor, grad_mu: Tensor, grad_rho: Tensor) -> Self {
+        Self { mu, rho, grad_mu, grad_rho, cache: SigmaCache::default() }
+    }
+
     /// Initializes μ with Xavier-uniform values and ρ with `config.init_rho`.
     pub fn init(shape: &[usize], config: &BayesConfig, rng: &mut impl Rng) -> Self {
         let (fan_in, fan_out) = fan_in_out(shape);
         let mu = xavier_uniform(shape, fan_in, fan_out, rng);
         let rho = Tensor::filled(shape, config.init_rho);
-        Self { grad_mu: Tensor::zeros(shape), grad_rho: Tensor::zeros(shape), mu, rho }
+        Self::assemble(mu, rho, Tensor::zeros(shape), Tensor::zeros(shape))
     }
 
     /// Creates parameters from explicit μ and σ tensors (σ is converted to ρ).
@@ -72,7 +142,7 @@ impl VariationalParams {
         assert_eq!(mu.shape(), sigma.shape(), "mu and sigma must share a shape");
         let rho = sigma.map(softplus_inverse);
         let shape = mu.shape().to_vec();
-        Self { grad_mu: Tensor::zeros(&shape), grad_rho: Tensor::zeros(&shape), mu, rho }
+        Self::assemble(mu, rho, Tensor::zeros(&shape), Tensor::zeros(&shape))
     }
 
     /// Reassembles parameters from captured tensors, bit-exactly — the checkpoint-restore
@@ -97,7 +167,7 @@ impl VariationalParams {
                 });
             }
         }
-        Ok(Self { mu, rho, grad_mu, grad_rho })
+        Ok(Self::assemble(mu, rho, grad_mu, grad_rho))
     }
 
     /// The mean tensor μ.
@@ -131,20 +201,21 @@ impl VariationalParams {
     }
 
     /// Samples a weight tensor `w = μ + ε∘σ` into a caller-provided tensor, quantizing to the
-    /// configured precision — the zero-allocation sampling primitive of the hot path (σ is
-    /// computed per element instead of materializing a σ tensor; `softplus` is deterministic,
-    /// so the values are bit-identical to the allocating form).
+    /// configured precision — the zero-allocation sampling primitive of the hot path (σ comes
+    /// from the per-update cache; `softplus` is deterministic, so the values are bit-identical
+    /// to computing it per sample).
     ///
     /// # Panics
     ///
     /// Panics if `epsilon.len()` or `out.len()` differs from the parameter count.
-    pub fn sample_into(&self, epsilon: &[f32], precision: Precision, out: &mut Tensor) {
+    pub fn sample_into(&mut self, epsilon: &[f32], precision: Precision, out: &mut Tensor) {
         assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
         assert_eq!(out.len(), self.len(), "output tensor must match weight count");
-        for (((wv, &m), &e), &rho) in
-            out.data_mut().iter_mut().zip(self.mu.data()).zip(epsilon).zip(self.rho.data())
+        let sigma = self.cache.sigma(&self.rho);
+        for (((wv, &m), &e), &s) in
+            out.data_mut().iter_mut().zip(self.mu.data()).zip(epsilon).zip(sigma)
         {
-            *wv = precision.quantize(m + e * softplus(rho));
+            *wv = precision.quantize(m + e * s);
         }
     }
 
@@ -154,20 +225,21 @@ impl VariationalParams {
     /// # Panics
     ///
     /// Panics if `epsilon.len()` differs from the parameter count.
-    pub fn sample(&self, epsilon: &[f32], precision: Precision) -> Tensor {
+    pub fn sample(&mut self, epsilon: &[f32], precision: Precision) -> Tensor {
         let mut w = Tensor::zeros(self.shape());
         self.sample_into(epsilon, precision, &mut w);
         w
     }
 
     /// Complexity contribution `Σ_i [log q(w_i|θ) − log P(w_i)]` for a sampled weight tensor.
-    pub fn complexity_loss(&self, weights: &Tensor, epsilon: &[f32], prior_sigma: f32) -> f32 {
+    pub fn complexity_loss(&mut self, weights: &Tensor, epsilon: &[f32], prior_sigma: f32) -> f32 {
+        let ln_sigma = &self.cache.training(&self.rho).ln_sigma;
+        let ln_prior_sigma = (prior_sigma as f64).ln();
+        let prior_var = (prior_sigma as f64).powi(2);
         let mut total = 0.0f64;
-        for ((&w, &e), &rho) in weights.data().iter().zip(epsilon).zip(self.rho.data()) {
-            let s = softplus(rho);
-            let log_q = -(s as f64).ln() - 0.5 * (e as f64) * (e as f64);
-            let log_p = -(prior_sigma as f64).ln()
-                - 0.5 * (w as f64) * (w as f64) / (prior_sigma as f64).powi(2);
+        for ((&w, &e), &ln_s) in weights.data().iter().zip(epsilon).zip(ln_sigma) {
+            let log_q = -ln_s - 0.5 * (e as f64) * (e as f64);
+            let log_p = -ln_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
             total += log_q - log_p;
         }
         total as f32
@@ -190,18 +262,15 @@ impl VariationalParams {
         assert_eq!(weights.len(), self.len());
         assert_eq!(epsilon.len(), self.len());
         let inv_prior_var = 1.0 / (config.prior_sigma * config.prior_sigma);
+        let terms = self.cache.training(&self.rho);
         let gm = self.grad_mu.data_mut();
         let gr = self.grad_rho.data_mut();
+        let (gws, ws) = (grad_w_likelihood.data(), weights.data());
         for i in 0..gm.len() {
-            let gw = grad_w_likelihood.data()[i];
-            let w = weights.data()[i];
-            let e = epsilon[i];
-            let rho = self.rho.data()[i];
-            let s = softplus(rho);
-            let total_w_grad = gw + config.kl_weight * w * inv_prior_var;
+            let total_w_grad = gws[i] + config.kl_weight * ws[i] * inv_prior_var;
             gm[i] += total_w_grad;
-            let dsigma = e * total_w_grad - config.kl_weight / s;
-            gr[i] += dsigma * sigmoid(rho);
+            let dsigma = epsilon[i] * total_w_grad - config.kl_weight / terms.sigma[i];
+            gr[i] += dsigma * terms.sigmoid[i];
         }
     }
 
@@ -222,6 +291,7 @@ impl VariationalParams {
         let scale = -learning_rate / samples as f32;
         self.mu.axpy(scale, &self.grad_mu).expect("gradient shape matches parameters");
         self.rho.axpy(scale, &self.grad_rho).expect("gradient shape matches parameters");
+        self.cache.invalidate();
         self.zero_grad();
     }
 
@@ -265,7 +335,7 @@ mod tests {
 
     #[test]
     fn sampling_with_zero_epsilon_returns_mu() {
-        let p = params();
+        let mut p = params();
         let eps = vec![0.0f32; p.len()];
         let w = p.sample(&eps, Precision::Fp32);
         assert_eq!(w, *p.mu());
@@ -273,7 +343,7 @@ mod tests {
 
     #[test]
     fn sampling_shifts_by_epsilon_times_sigma() {
-        let p = params();
+        let mut p = params();
         let eps = vec![2.0f32; p.len()];
         let w = p.sample(&eps, Precision::Fp32);
         let sigma = softplus(-4.0);
@@ -295,7 +365,7 @@ mod tests {
         // With sigma == prior_sigma and w == 0 and eps == 0, log q - log p reduces to 0.
         let mu = Tensor::zeros(&[3]);
         let sigma = Tensor::filled(&[3], 0.5);
-        let p = VariationalParams::from_mu_sigma(mu, &sigma);
+        let mut p = VariationalParams::from_mu_sigma(mu, &sigma);
         let w = Tensor::zeros(&[3]);
         let loss = p.complexity_loss(&w, &[0.0, 0.0, 0.0], 0.5);
         assert!(loss.abs() < 1e-4, "loss {loss}");
@@ -305,7 +375,7 @@ mod tests {
     fn complexity_loss_penalizes_narrow_posterior_far_from_prior() {
         let mu = Tensor::filled(&[1], 3.0);
         let sigma = Tensor::filled(&[1], 0.05);
-        let p = VariationalParams::from_mu_sigma(mu, &sigma);
+        let mut p = VariationalParams::from_mu_sigma(mu, &sigma);
         let w = Tensor::filled(&[1], 3.0);
         let loss = p.complexity_loss(&w, &[0.0], 0.5);
         assert!(loss > 1.0, "narrow posterior far from the prior should cost, got {loss}");
@@ -324,6 +394,70 @@ mod tests {
         p.sgd_step(0.1, 1);
         assert_ne!(*p.mu(), mu_before);
         assert!(p.grad_mu().data().iter().all(|&g| g == 0.0), "gradients cleared after step");
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn cached_sigma_terms_follow_rho_through_sgd_steps() {
+        let cfg = BayesConfig { kl_weight: 0.1, ..BayesConfig::default() };
+        let mut p = params();
+        let eps: Vec<f32> = (0..p.len()).map(|i| i as f32 * 0.37 - 2.0).collect();
+        let grad = Tensor::filled(p.shape(), 0.5);
+        for step in 0..3 {
+            // The readers below fill the cache from the current ρ; the update must make them
+            // see the new ρ, exactly as if σ, ln σ and sigmoid(ρ) were recomputed per call.
+            let rho = p.rho().data().to_vec();
+            let sigma: Vec<f32> = rho.iter().map(|&r| softplus(r)).collect();
+            let want_w: Vec<f32> = p
+                .mu()
+                .data()
+                .iter()
+                .zip(&eps)
+                .zip(&sigma)
+                .map(|((&m, &e), &s)| m + e * s)
+                .collect();
+            let w = p.sample(&eps, Precision::Fp32);
+            assert_eq!(bits(w.data()), bits(&want_w), "step {step}: sampled weights");
+
+            let mut want_loss = 0.0f64;
+            for ((&wv, &e), &s) in w.data().iter().zip(&eps).zip(&sigma) {
+                let log_q = -(s as f64).ln() - 0.5 * (e as f64) * (e as f64);
+                let log_p = -(0.5f64).ln() - 0.5 * (wv as f64) * (wv as f64) / (0.5f64).powi(2);
+                want_loss += log_q - log_p;
+            }
+            let loss = p.complexity_loss(&w, &eps, cfg.prior_sigma);
+            assert_eq!(loss.to_bits(), (want_loss as f32).to_bits(), "step {step}: complexity");
+
+            let want_grad_rho: Vec<f32> = (0..p.len())
+                .map(|i| {
+                    let total = 0.5 + cfg.kl_weight * w.data()[i] * 4.0;
+                    (eps[i] * total - cfg.kl_weight / sigma[i]) * sigmoid(rho[i])
+                })
+                .collect();
+            p.accumulate_gradients(&grad, &w, &eps, &cfg);
+            assert_eq!(bits(p.grad_rho().data()), bits(&want_grad_rho), "step {step}: Δρ");
+
+            p.sgd_step(0.5, 1);
+            assert_ne!(p.rho().data(), &rho[..], "step {step}: the update must move ρ");
+        }
+    }
+
+    #[test]
+    fn equality_and_restore_ignore_the_cache() {
+        let mut warmed = params();
+        let eps = vec![1.0f32; warmed.len()];
+        let w = warmed.sample(&eps, Precision::Fp32);
+        warmed.complexity_loss(&w, &eps, 0.5);
+        let mut clone = warmed.clone();
+        let (mu, rho) = (clone.mu().clone(), clone.rho().clone());
+        let (grad_mu, grad_rho) = (clone.grad_mu().clone(), clone.grad_rho().clone());
+        let mut fresh = VariationalParams::from_raw(mu, rho, grad_mu, grad_rho).unwrap();
+        assert_eq!(fresh, clone, "a cold restore equals a warmed clone");
+        let (a, b) = (fresh.sample(&eps, Precision::Fp32), clone.sample(&eps, Precision::Fp32));
+        assert_eq!(bits(a.data()), bits(b.data()));
     }
 
     #[test]

@@ -233,17 +233,45 @@ impl Grng {
         self.fill_forward_with(out.len(), |i, e| out[i] = e as f32);
     }
 
+    /// The word-parallel backward core, the mirror of `fill_forward_with`: retrieves `count`
+    /// ε values through `emit(index, ε)` in retrieval order (last generated first), rewinding
+    /// the LFSR in 64-bit batches ([`crate::Lfsr::step_backward64`]) wherever the register
+    /// supports it and bit-serially otherwise. The emitted stream is bit-identical to `count`
+    /// calls of [`Grng::retrieve_epsilon`] (pinned by `tests/word_parallel.rs`).
+    fn fill_backward_with(&mut self, count: usize, mut emit: impl FnMut(usize, f64)) {
+        assert_eq!(self.mode, GrngMode::Backward, "ε retrieval requires backward mode");
+        let mut i = 0;
+        if self.lfsr.supports_batch64() {
+            while count - i >= 64 {
+                let (entering, leaving) = self.lfsr.step_backward64();
+                let mut sum = self.current_sum;
+                for j in 0..64 {
+                    emit(i + j, self.epsilon_from_sum(sum));
+                    sum = sum + (((entering >> j) & 1) as u32) - (((leaving >> j) & 1) as u32);
+                }
+                self.current_sum = sum;
+                debug_assert_eq!(self.current_sum, self.lfsr.popcount());
+                self.outstanding -= 64;
+                i += 64;
+            }
+        }
+        while i < count {
+            emit(i, self.retrieve_epsilon());
+            i += 1;
+        }
+    }
+
     /// Fills `out` with retrieved ε values **in generation order** (the backward LFSR walk
     /// visits them last-first; this writes back-to-front so callers get the block exactly as
-    /// it was generated) — the zero-allocation variant of reversing [`Grng::retrieve`].
+    /// it was generated) — the word-parallel, zero-allocation variant of reversing
+    /// [`Grng::retrieve`].
     ///
     /// # Panics
     ///
     /// Panics unless the GRNG is in [`GrngMode::Backward`].
     pub fn fill_retrieved(&mut self, out: &mut [f32]) {
-        for i in (0..out.len()).rev() {
-            out[i] = self.retrieve_epsilon() as f32;
-        }
+        let last = out.len().saturating_sub(1);
+        self.fill_backward_with(out.len(), |i, e| out[last - i] = e as f32);
     }
 
     /// Advances the generator past `count` forward ε values without emitting them — ending in
@@ -279,9 +307,13 @@ impl Grng {
         out
     }
 
-    /// Retrieves `count` ε values in reverse generation order.
+    /// Retrieves `count` ε values in reverse generation order (delegates to the word-parallel
+    /// backward core).
     pub fn retrieve(&mut self, count: usize) -> Vec<f64> {
-        (0..count).map(|_| self.retrieve_epsilon()).collect()
+        let mut out = vec![0.0f64; count];
+        let out_ref = &mut out;
+        self.fill_backward_with(count, |i, e| out_ref[i] = e);
+        out
     }
 
     /// Re-seeds the GRNG in place as if freshly built by [`Grng::shift_bnn_default`] with

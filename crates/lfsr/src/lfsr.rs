@@ -236,25 +236,23 @@ impl Lfsr {
         dropped_head
     }
 
-    /// Whether this register supports the word-parallel 64-step batch
-    /// ([`Lfsr::step_forward64`]): the width must be a whole number of 64-bit words and every
-    /// tap must sit at position ≥ 64, so that none of the 64 feedback bits of a batch depends
-    /// on a bit produced *within* the batch. The Shift-BNN default (width 256, taps
-    /// `{246, 251, 254, 256}`) qualifies; narrow ablation widths fall back to bit-serial
-    /// stepping.
+    /// Whether this register supports the word-parallel 64-step batches
+    /// ([`Lfsr::step_forward64`], [`Lfsr::step_backward64`]): the width must be a whole number
+    /// of 64-bit words and every tap must sit at position ≥ 64, so that none of the 64
+    /// feedback bits of a forward batch depends on a bit produced *within* the batch. The
+    /// Shift-BNN default (width 256, taps `{246, 251, 254, 256}`) qualifies; narrow ablation
+    /// widths fall back to bit-serial stepping in both directions.
     pub fn supports_batch64(&self) -> bool {
         self.width >= 64 && self.width.is_multiple_of(64) && self.taps.iter().all(|&t| t >= 64)
     }
 
-    /// Reads 64 consecutive registers starting at 0-based bit position `pos` as one `u64`
-    /// (bit `i` of the result is register `R_{pos+i+1}`).
+    /// Reads up to 64 consecutive registers starting at 0-based bit position `pos` as one
+    /// `u64`: bit `i` of the result is register `R_{pos+i+1}`, and bits past the tail read 0.
     fn extract64(&self, pos: usize) -> u64 {
-        debug_assert!(pos + 64 <= self.width);
         let (wi, sh) = (pos / 64, pos % 64);
-        if sh == 0 {
-            self.state[wi]
-        } else {
-            (self.state[wi] >> sh) | (self.state[wi + 1] << (64 - sh))
+        match self.state.get(wi + 1) {
+            Some(&next) if sh != 0 => (self.state[wi] >> sh) | (next << (64 - sh)),
+            _ => self.state[wi] >> sh,
         }
     }
 
@@ -287,6 +285,55 @@ impl Lfsr {
         }
         self.state[0] = entering;
         self.position += 64;
+        (entering, leaving)
+    }
+
+    /// Rewinds the register by exactly 64 backward steps in a few word operations —
+    /// bit-identical to 64 calls of [`Lfsr::step_backward`].
+    ///
+    /// Write `y` for the pre-batch register bits `b_0..b_{n−1}` followed by the 64 bits the
+    /// batch recovers into the tail, `W = y_n..y_{n+63}`. Eq. 3 gives bit `j` of `W` as
+    /// `y_j ⊕ ⊕_{t<n} y_{t+j}` over the non-tail taps `t`. Terms with `t + j < n` read
+    /// pre-batch bits; together they form `C`. The others are bits of `W` itself, recovered
+    /// earlier in the batch at offset `d = n − t` (2, 5 and 10 for taps `{246, 251, 254,
+    /// 256}`), so `W = C ⊕ ⊕_d (W ≪ d)`. Over GF(2) the shift-sum `A = Σ_d ≪d` is nilpotent
+    /// and `A^{2^k} = Σ_d ≪(d·2^k)`, so `W = Π_k (I ⊕ A^{2^k}) · C`: rounds of
+    /// `W ^= ⊕_d (W ≪ d·2^k)` until the smallest shift reaches 64, five for the default
+    /// register. The remaining words move down one slot.
+    ///
+    /// Returns `(entering, leaving)`: bit `j` of `entering` is the tail bit recovered at
+    /// step `j`, bit `j` of `leaving` is the head bit dropped at step `j` — the streams a GRNG
+    /// needs to walk its incremental pop-count back through the batch.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts [`Lfsr::supports_batch64`].
+    pub fn step_backward64(&mut self) -> (u64, u64) {
+        debug_assert!(self.supports_batch64(), "step_backward64 requires word-aligned taps");
+        let n = self.width;
+        let leaving = self.state[0];
+        let mut entering = leaving;
+        let mut min_offset = 64;
+        for &t in &self.taps[..self.taps.len() - 1] {
+            entering ^= self.extract64(t);
+            min_offset = min_offset.min(n - t);
+        }
+        let mut scale = 1;
+        while min_offset * scale < 64 {
+            let mut next = entering;
+            for &t in &self.taps[..self.taps.len() - 1] {
+                let shift = (n - t) * scale;
+                if shift < 64 {
+                    next ^= entering << shift;
+                }
+            }
+            entering = next;
+            scale *= 2;
+        }
+        let last = self.state.len() - 1;
+        self.state.copy_within(1.., 0);
+        self.state[last] = entering;
+        self.position -= 64;
         (entering, leaving)
     }
 

@@ -80,6 +80,60 @@ proptest! {
         }
     }
 
+    /// The word-parallel block calls (`fill_epsilon`, `fill_retrieved`, `retrieve`,
+    /// `skip_forward`) stay in lockstep with a bit-serial twin driven one ε at a time, across
+    /// random interleavings and block sizes that straddle the 64-step batch.
+    #[test]
+    fn word_parallel_blocks_track_a_bit_serial_twin(
+        width in arb_width(),
+        seed in arb_seed(),
+        blocks in prop::collection::vec((0u8..4, 0usize..200), 1..16),
+    ) {
+        let mut fast = Grng::new(width, seed).unwrap();
+        let mut serial = fast.clone();
+        for (kind, len) in blocks {
+            match kind {
+                0 => {
+                    fast.set_mode(GrngMode::Forward);
+                    serial.set_mode(GrngMode::Forward);
+                    let mut got = vec![0.0f32; len];
+                    fast.fill_epsilon(&mut got);
+                    for g in &got {
+                        prop_assert_eq!(g.to_bits(), (serial.next_epsilon() as f32).to_bits());
+                    }
+                }
+                1 => {
+                    fast.set_mode(GrngMode::Backward);
+                    serial.set_mode(GrngMode::Backward);
+                    let mut got = vec![0.0f32; len];
+                    fast.fill_retrieved(&mut got);
+                    for g in got.iter().rev() {
+                        prop_assert_eq!(g.to_bits(), (serial.retrieve_epsilon() as f32).to_bits());
+                    }
+                }
+                2 => {
+                    fast.set_mode(GrngMode::Backward);
+                    serial.set_mode(GrngMode::Backward);
+                    for g in fast.retrieve(len) {
+                        prop_assert_eq!(g.to_bits(), serial.retrieve_epsilon().to_bits());
+                    }
+                }
+                _ => {
+                    fast.set_mode(GrngMode::Forward);
+                    serial.set_mode(GrngMode::Forward);
+                    fast.skip_forward(len);
+                    for _ in 0..len {
+                        serial.next_epsilon();
+                    }
+                }
+            }
+            prop_assert_eq!(fast.lfsr().state_words(), serial.lfsr().state_words());
+            prop_assert_eq!(fast.lfsr().position(), serial.lfsr().position());
+            prop_assert_eq!(fast.current_sum(), serial.current_sum());
+            prop_assert_eq!(fast.outstanding(), serial.outstanding());
+        }
+    }
+
     /// Banks round-trip per-slice streams regardless of slice count.
     #[test]
     fn bank_round_trip(count in 1usize..16, seed in arb_seed(), per_slice in 1usize..64) {

@@ -1,5 +1,6 @@
 //! Pins the word-parallel ε generation (`Grng::fill_epsilon`, built on
-//! `Lfsr::step_forward64`) against the bit-serial path for **every** supported LFSR width —
+//! `Lfsr::step_forward64`) and retrieval (`Grng::fill_retrieved` / `Grng::retrieve`, built on
+//! `Lfsr::step_backward64`) against the bit-serial paths for **every** supported LFSR width —
 //! the same stream, the same register trajectory, and full reversibility afterwards.
 
 use bnn_lfsr::taps::supported_widths;
@@ -58,6 +59,77 @@ fn step_forward64_equals_sixty_four_single_steps() {
         serial.step_forward_by(64);
         assert_eq!(batched.state_words(), serial.state_words(), "width {width}");
         assert_eq!(batched.position(), serial.position());
+    }
+}
+
+#[test]
+fn step_backward64_equals_sixty_four_single_steps_from_any_position() {
+    let mut capable = 0;
+    for width in supported_widths() {
+        let start = Lfsr::with_maximal_taps(width, 0xBEEF).unwrap();
+        if !start.supports_batch64() {
+            continue;
+        }
+        capable += 1;
+        // Positions before the seed (negative) and after it, on and off 64-step alignment.
+        for offset in [-300i64, -64, -1, 0, 1, 63, 64, 65, 1000] {
+            let mut batched = start.clone();
+            if offset >= 0 {
+                batched.step_forward_by(offset as usize);
+            } else {
+                batched.step_backward_by(offset.unsigned_abs() as usize);
+            }
+            let mut serial = batched.clone();
+            let head_bits = batched.state_words()[0];
+            let (entering, leaving) = batched.step_backward64();
+            let mut want_entering = 0u64;
+            for j in 0..64 {
+                serial.step_backward();
+                want_entering |= u64::from(serial.register(width)) << j;
+            }
+            assert_eq!(batched.state_words(), serial.state_words(), "width {width} @ {offset}");
+            assert_eq!(batched.position(), serial.position());
+            assert_eq!(batched.position(), offset - 64);
+            assert_eq!(entering, want_entering, "width {width} @ {offset}: recovered tail bits");
+            assert_eq!(leaving, head_bits, "width {width} @ {offset}: dropped head bits");
+        }
+    }
+    assert!(capable >= 3, "the 128-, 192- and 256-bit registers batch");
+}
+
+#[test]
+fn fill_retrieved_and_retrieve_match_bit_serial_stream_for_all_supported_widths() {
+    for width in supported_widths() {
+        for &len in LENGTHS {
+            // Generate a little more than the block so the walk starts mid-stream, then
+            // retrieve the block three ways.
+            let mut serial = Grng::new(width, 0xACE1).unwrap();
+            serial.generate(len + 5);
+            let (mut filled, mut vec_path) = (serial.clone(), serial.clone());
+            for g in [&mut serial, &mut filled, &mut vec_path] {
+                g.set_mode(GrngMode::Backward);
+            }
+            let want: Vec<f64> = (0..len).map(|_| serial.retrieve_epsilon()).collect();
+            let mut got = vec![0.0f32; len];
+            filled.fill_retrieved(&mut got);
+            let got_vec = vec_path.retrieve(len);
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(got_vec[i].to_bits(), w.to_bits(), "width {width}, len {len}, [{i}]");
+                // `fill_retrieved` writes in generation order, the reverse of retrieval.
+                let g = got[len - 1 - i];
+                assert_eq!(g.to_bits(), (*w as f32).to_bits(), "width {width}, len {len}, [{i}]");
+            }
+            for fast in [&filled, &vec_path] {
+                assert_eq!(
+                    fast.lfsr().state_words(),
+                    serial.lfsr().state_words(),
+                    "width {width}, len {len}: register state diverged"
+                );
+                assert_eq!(fast.lfsr().position(), serial.lfsr().position());
+                assert_eq!(fast.current_sum(), serial.current_sum());
+                assert_eq!(fast.outstanding(), serial.outstanding());
+            }
+        }
     }
 }
 
