@@ -4,10 +4,13 @@
 //!
 //! 1. the packed im2col+GEMM convolution kernels against the retained reference loop nests
 //!    (per geometry × direction, asserting bit-identical outputs as it goes);
-//! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks;
+//! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks — the
+//!    `eps_generate` and `eps_retrieve` ratios gated by `bench_regression`;
 //! 3. a traced engine run against the identical untraced run (responses asserted
 //!    byte-identical) — the `obs_overhead` ratio gated by `bench_regression`;
-//! 4. the steady-state allocation counts of a full training iteration, a served request and
+//! 4. fused against per-sample training steps on the B-LeNet proxy at `S = 8` (losses
+//!    asserted bit-identical) — the ungated `fused_training` ratio;
+//! 5. the steady-state allocation counts of a full training iteration, a served request and
 //!    a *traced* served request (serving plus recorder writes), measured **at the
 //!    allocator** via the binary's counting `#[global_allocator]` — all must be zero after
 //!    warmup, and the run fails otherwise.
@@ -23,9 +26,9 @@
 use bnn_tensor::KernelTier;
 use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{
-    full_json, geometric_mean, run_epsilon_bench, run_fused_serve_bench, run_kernel_benches,
-    run_obs_overhead_bench, run_tier_benches, summary_json, EpsilonBench, KernelBench, ServeProbe,
-    TierBench, TracedServeProbe, TrainingProbe,
+    full_json, geometric_mean, run_epsilon_bench, run_fused_serve_bench, run_fused_training_bench,
+    run_kernel_benches, run_obs_overhead_bench, run_tier_benches, summary_json, EpsilonBench,
+    KernelBench, ServeProbe, TierBench, TracedServeProbe, TrainingProbe,
 };
 use shift_bnn_bench::print_table;
 
@@ -89,6 +92,7 @@ fn main() {
     let kernels = run_kernel_benches(args.reps);
     let tiers = run_tier_benches(args.reps);
     let fused = run_fused_serve_bench(args.reps, 16);
+    let fused_training = run_fused_training_bench(args.reps, 8);
     let obs = run_obs_overhead_bench(args.reps, 48);
     let epsilon = run_epsilon_bench(args.reps, 16 * 1024);
 
@@ -149,6 +153,16 @@ fn main() {
         fused.digest
     );
 
+    println!(
+        "fused training (S = {}): per-sample {:.1} µs, fused {:.1} µs per step ({:.2}x), \
+         loss digest {}",
+        fused_training.samples,
+        fused_training.per_sample_ns / 1e3,
+        fused_training.fused_ns / 1e3,
+        fused_training.speedup(),
+        fused_training.digest
+    );
+
     let e: &EpsilonBench = &epsilon;
     println!(
         "ε generation ({} values): bit-serial {:.1} µs, word-parallel {:.1} µs ({:.2}x), \
@@ -196,6 +210,7 @@ fn main() {
             &kernels,
             &tiers,
             &fused,
+            &fused_training,
             &obs,
             &epsilon,
             train_allocs,

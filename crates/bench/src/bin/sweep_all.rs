@@ -16,9 +16,10 @@
 use std::time::Instant;
 
 use bnn_arch::EnergyModel;
+use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
 use shift_bnn::sweep::summary::SweepSummary;
-use shift_bnn::sweep::{pool, run_sweep, SweepGrid, SweepReport};
+use shift_bnn::sweep::{run_sweep, SweepGrid, SweepReport};
 use shift_bnn_bench::{num, print_table};
 
 struct Args {

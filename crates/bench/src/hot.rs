@@ -1,6 +1,6 @@
 //! The numeric hot-path microbenchmark suite behind the `hot_bench` binary.
 //!
-//! Three families of measurements, all pure functions of their seeds:
+//! Four families of measurements, all pure functions of their seeds:
 //!
 //! * **conv kernels** — the packed im2col+GEMM drivers of [`bnn_tensor::kernels`] against the
 //!   retained reference loop nests of [`bnn_tensor::conv::reference`], per geometry and per
@@ -12,6 +12,9 @@
 //!   `next_epsilon` loop, plus a stream digest, and word-parallel
 //!   [`Grng::fill_retrieved`](bnn_lfsr::Grng::fill_retrieved) against the bit-serial
 //!   `retrieve_epsilon` loop over the same block;
+//! * **fused training** — two B-LeNet-proxy trainers at `S = 8`, one with the fused
+//!   forward walk ([`Trainer::set_fused_forward`]), asserted to train bit-identically before
+//!   either is timed;
 //! * **steady-state probes** — a full training iteration ([`TrainingProbe`]) and a served
 //!   request ([`ServeProbe`]), used by the allocation-counting test and by `hot_bench` to
 //!   assert the zero-allocation steady state at the allocator.
@@ -311,25 +314,36 @@ pub fn run_tier_benches(reps: usize) -> Vec<TierBench> {
         .collect()
 }
 
-/// Timing of fused-sampling serving against the per-sample path (PR 8's fused arm): one
-/// frozen B-LeNet replica answering `S = 16` Monte-Carlo requests both ways, asserted
-/// byte-identical before either is timed.
+/// Timing of a fused `S`-sample walk against `S` per-sample walks on the B-LeNet proxy: PR 8's
+/// serving arm (one frozen replica answering Monte-Carlo requests) and the training arm (two
+/// trainers stepping the same example), each asserted bit-identical before it is timed.
 #[derive(Debug, Clone)]
-pub struct FusedServeBench {
-    /// Monte-Carlo samples per request.
+pub struct FusedBench {
+    /// Monte-Carlo samples per request or training step.
     pub samples: usize,
-    /// Per-sample (`S` separate forward passes) nanoseconds per request.
+    /// Per-sample (`S` separate forward passes) nanoseconds per request or step.
     pub per_sample_ns: f64,
-    /// Fused (one stacked walk) nanoseconds per request.
+    /// Fused (one stacked walk) nanoseconds per request or step.
     pub fused_ns: f64,
-    /// FNV-1a digest of the (identical) response mean ∥ variance bits.
+    /// FNV-1a digest of the identical outputs: the response mean ∥ variance bits, or the
+    /// loss bits of the checked training steps.
     pub digest: String,
 }
 
-impl FusedServeBench {
+impl FusedBench {
     /// per-sample / fused wall-clock ratio.
     pub fn speedup(&self) -> f64 {
         self.per_sample_ns / self.fused_ns
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("samples", Json::UInt(self.samples as u64)),
+            ("per_sample_ns", Json::Float(self.per_sample_ns)),
+            ("fused_ns", Json::Float(self.fused_ns)),
+            ("speedup", Json::Float(self.speedup())),
+            ("digest", Json::Str(self.digest.clone())),
+        ])
     }
 }
 
@@ -338,7 +352,7 @@ impl FusedServeBench {
 /// # Panics
 ///
 /// Panics if the two paths' responses are not byte-identical.
-pub fn run_fused_serve_bench(reps: usize, samples: usize) -> FusedServeBench {
+pub fn run_fused_serve_bench(reps: usize, samples: usize) -> FusedBench {
     let spec = ModelSpec::lenet(7);
     let mut request = InferRequest {
         id: 0,
@@ -362,7 +376,51 @@ pub fn run_fused_serve_bench(reps: usize, samples: usize) -> FusedServeBench {
         digest_f32(&response.mean.iter().chain(&response.variance).copied().collect::<Vec<f32>>());
     let fused_ns = best_of(reps, || fused.answer_into(&request, &mut response));
     let per_sample_ns = best_of(reps, || per_sample.answer_into(&request, &mut check));
-    FusedServeBench { samples, per_sample_ns, fused_ns, digest }
+    FusedBench { samples, per_sample_ns, fused_ns, digest }
+}
+
+/// Benchmarks fused vs per-sample training steps on the B-LeNet proxy at `samples` draws: two
+/// trainers, one with [`Trainer::set_fused_forward`] on, stepping the same example in
+/// lockstep.
+///
+/// # Panics
+///
+/// Panics if the two trainers' losses differ in any bit, before or while they are timed.
+pub fn run_fused_training_bench(reps: usize, samples: usize) -> FusedBench {
+    let spec = ModelSpec::lenet(7);
+    let image = fill_tensor(0xF00D, spec.input_shape());
+    let trainer = |fused: bool| {
+        let config = TrainerConfig { samples, learning_rate: 0.01, ..TrainerConfig::default() };
+        let mut trainer = Trainer::new(spec.build(), config).expect("default GRNG construction");
+        trainer.set_fused_forward(fused);
+        trainer
+    };
+    let (mut per_sample, mut fused) = (trainer(false), trainer(true));
+    let step = |trainer: &mut Trainer| {
+        trainer.train_example(&image, 1).expect("proxy shapes are consistent").total_loss
+    };
+    let mut losses = Vec::new();
+    for _ in 0..4 {
+        let (a, b) = (step(&mut per_sample), step(&mut fused));
+        assert_eq!(a.to_bits(), b.to_bits(), "fused training diverged at step {}", losses.len());
+        losses.push(a);
+    }
+    // The timed steps alternate between the trainers, so a slow stretch of a shared host
+    // hits both, and the trainers stay in lockstep (still asserted step by step).
+    let timed = |trainer: &mut Trainer| {
+        let start = Instant::now();
+        let loss = step(trainer);
+        (start.elapsed().as_nanos() as f64, loss)
+    };
+    let (mut per_sample_ns, mut fused_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        let (a_ns, a) = timed(&mut per_sample);
+        let (b_ns, b) = timed(&mut fused);
+        assert_eq!(a.to_bits(), b.to_bits(), "fused training diverged while timed");
+        per_sample_ns = per_sample_ns.min(a_ns);
+        fused_ns = fused_ns.min(b_ns);
+    }
+    FusedBench { samples, per_sample_ns, fused_ns, digest: digest_f32(&losses) }
 }
 
 /// Timing result of the ε-generation and ε-retrieval comparisons.
@@ -383,7 +441,7 @@ pub struct EpsilonBench {
 }
 
 impl EpsilonBench {
-    /// serial / word-parallel generation wall-clock ratio.
+    /// serial / word-parallel generation wall-clock ratio — the `eps_generate` gate.
     pub fn speedup(&self) -> f64 {
         self.serial_ns / self.word_parallel_ns
     }
@@ -777,13 +835,14 @@ pub fn summary_json(
 
 /// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings,
 /// speedups and the geometric mean alongside everything in the summary, plus PR 8's
-/// per-tier GEMM arms, the fused-serving arm and the named `speedups` object gated by
-/// `bench_regression --min-speedup`.
+/// per-tier GEMM arms, the fused-serving and fused-training arms and the named `speedups`
+/// object gated by `bench_regression --min-speedup`.
 #[allow(clippy::too_many_arguments)]
 pub fn full_json(
     kernels: &[KernelBench],
     tiers: &[TierBench],
-    fused: &FusedServeBench,
+    fused: &FusedBench,
+    fused_training: &FusedBench,
     obs: &ObsOverheadBench,
     epsilon: &EpsilonBench,
     train_allocs: u64,
@@ -839,16 +898,8 @@ pub fn full_json(
                     .collect(),
             ),
         ),
-        (
-            "fused_serving",
-            Json::obj([
-                ("samples", Json::UInt(fused.samples as u64)),
-                ("per_sample_ns", Json::Float(fused.per_sample_ns)),
-                ("fused_ns", Json::Float(fused.fused_ns)),
-                ("speedup", Json::Float(fused.speedup())),
-                ("digest", Json::Str(fused.digest.clone())),
-            ]),
-        ),
+        ("fused_serving", fused.json()),
+        ("fused_training", fused_training.json()),
         (
             "obs_serving",
             Json::obj([
@@ -865,7 +916,9 @@ pub fn full_json(
             Json::obj([
                 ("simd_gemm", Json::Float(geometric_mean(&simd))),
                 ("fused_sampling", Json::Float(fused.speedup())),
+                ("fused_training", Json::Float(fused_training.speedup())),
                 ("obs_overhead", Json::Float(obs.overhead())),
+                ("eps_generate", Json::Float(epsilon.speedup())),
                 ("eps_retrieve", Json::Float(epsilon.retrieve_speedup())),
             ]),
         ),
@@ -929,18 +982,34 @@ mod tests {
     }
 
     #[test]
+    fn fused_training_bench_pins_bit_identity_before_timing() {
+        let bench = run_fused_training_bench(1, 2);
+        assert_eq!(bench.samples, 2);
+        assert_eq!(bench.digest.len(), 16);
+        assert!(bench.per_sample_ns > 0.0 && bench.fused_ns > 0.0);
+    }
+
+    #[test]
     fn full_json_names_the_gated_speedups() {
         let kernels = run_kernel_benches(1);
         let tiers = run_tier_benches(1);
         let fused = run_fused_serve_bench(1, 4);
+        let fused_training = run_fused_training_bench(1, 2);
         let obs = run_obs_overhead_bench(1, 8);
         let epsilon = run_epsilon_bench(1, 128);
-        let doc = full_json(&kernels, &tiers, &fused, &obs, &epsilon, 0, 0, 0).to_compact();
-        assert!(doc.contains("\"speedups\""));
-        assert!(doc.contains("\"simd_gemm\""));
-        assert!(doc.contains("\"fused_sampling\""));
-        assert!(doc.contains("\"obs_overhead\""));
-        assert!(doc.contains("\"eps_retrieve\""));
+        let doc = full_json(&kernels, &tiers, &fused, &fused_training, &obs, &epsilon, 0, 0, 0)
+            .to_compact();
+        for name in [
+            "speedups",
+            "simd_gemm",
+            "fused_sampling",
+            "fused_training",
+            "obs_overhead",
+            "eps_generate",
+            "eps_retrieve",
+        ] {
+            assert!(doc.contains(&format!("\"{name}\"")), "missing {name}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shift_bnn::compare::geometric_mean;
 use shift_bnn::designs::DesignKind;
+use shift_bnn::pool;
 use shift_bnn::scalability::{ScalabilityPoint, FIG13_SAMPLE_COUNTS};
-use shift_bnn::sweep::{pool, SweepReport};
+use shift_bnn::sweep::SweepReport;
 
 /// The sample counts of Fig. 2's BNN-vs-DNN comparison.
 pub const FIG02_SAMPLE_COUNTS: [usize; 5] = [1, 8, 16, 24, 32];

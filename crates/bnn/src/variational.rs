@@ -205,6 +205,10 @@ impl VariationalParams {
     /// from the per-update cache; `softplus` is deterministic, so the values are bit-identical
     /// to computing it per sample).
     ///
+    /// The precision is matched once, outside the loop: `Fp32` quantization is the identity,
+    /// so that arm is the bare `μ + ε·σ` loop, which vectorizes; the fixed-point arms round
+    /// every weight through [`Precision::quantize`] exactly as before.
+    ///
     /// # Panics
     ///
     /// Panics if `epsilon.len()` or `out.len()` differs from the parameter count.
@@ -212,10 +216,18 @@ impl VariationalParams {
         assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
         assert_eq!(out.len(), self.len(), "output tensor must match weight count");
         let sigma = self.cache.sigma(&self.rho);
-        for (((wv, &m), &e), &s) in
-            out.data_mut().iter_mut().zip(self.mu.data()).zip(epsilon).zip(sigma)
-        {
-            *wv = precision.quantize(m + e * s);
+        let terms = out.data_mut().iter_mut().zip(self.mu.data()).zip(epsilon).zip(sigma);
+        match precision {
+            Precision::Fp32 => {
+                for (((wv, &m), &e), &s) in terms {
+                    *wv = m + e * s;
+                }
+            }
+            _ => {
+                for (((wv, &m), &e), &s) in terms {
+                    *wv = precision.quantize(m + e * s);
+                }
+            }
         }
     }
 
@@ -443,6 +455,52 @@ mod tests {
             p.sgd_step(0.5, 1);
             assert_ne!(p.rho().data(), &rho[..], "step {step}: the update must move ρ");
         }
+    }
+
+    #[test]
+    fn sample_into_equals_the_quantized_formula_at_every_precision() {
+        // (μ, ε) pairs hitting ±0.0, round-half ties on the 16- and 8-bit grids (ε = 0 leaves
+        // w = μ exactly), saturation at both ends of both grids, and ordinary values; the
+        // generated tail makes the slice long enough for a vector body and a remainder.
+        let mut cases: Vec<(f32, f32)> = vec![
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (-0.0, -0.0),
+            (0.0, -0.0),
+            (2.5 / 1024.0, 0.0),
+            (-2.5 / 1024.0, 0.0),
+            (2.5 / 16.0, 0.0),
+            (-2.5 / 16.0, 0.0),
+            (1.0e3, 1.0),
+            (-1.0e3, -1.0),
+            (31.99, 50.0),
+            (-7.9, -40.0),
+        ];
+        cases.extend((0..29).map(|i| ((i as f32 - 14.0) * 0.37, (i * 7 % 11) as f32 - 5.0)));
+        let (mu, eps): (Vec<f32>, Vec<f32>) = cases.into_iter().unzip();
+        let rho: Vec<f32> = (0..mu.len()).map(|i| i as f32 * 0.3 - 6.0).collect();
+        let shape = [mu.len()];
+        let tensor = |v: &[f32]| Tensor::from_vec(shape.to_vec(), v.to_vec()).unwrap();
+        let zeros = Tensor::zeros(&shape);
+        let mut p =
+            VariationalParams::from_raw(tensor(&mu), tensor(&rho), zeros.clone(), zeros).unwrap();
+        for precision in [Precision::Fp32, Precision::PAPER_16BIT, Precision::PAPER_8BIT] {
+            let mut out = Tensor::zeros(&shape);
+            p.sample_into(&eps, precision, &mut out);
+            let want: Vec<f32> = (0..mu.len())
+                .map(|i| precision.quantize(mu[i] + eps[i] * softplus(rho[i])))
+                .collect();
+            assert_eq!(bits(out.data()), bits(&want), "{precision:?}");
+            let (max, step) = (precision.max_value(), precision.resolution());
+            if max.is_finite() {
+                let saturated = [max, -(max + step)];
+                assert!(saturated.iter().all(|v| out.data().contains(v)), "{precision:?}");
+            }
+        }
+        let w = p.sample(&eps, Precision::Fp32);
+        assert_eq!(w.data()[2].to_bits(), (-0.0f32).to_bits(), "-0.0 + -0.0·σ stays -0.0");
+        let w = p.sample(&eps, Precision::PAPER_16BIT);
+        assert_eq!(w.data()[4], 3.0 / 1024.0, "ties round away from zero");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::designs::DesignKind;
 use crate::evaluate::{evaluate_gpu, evaluate_with, DesignEvaluation};
-use crate::sweep::pool::default_workers;
+use crate::pool::default_workers;
 use crate::sweep::{run_sweep, SweepGrid, SweepPrecision};
 use bnn_arch::EnergyModel;
 use bnn_models::ModelConfig;

@@ -1,7 +1,7 @@
 //! Sample-size scalability sweeps — the data behind Fig. 13.
 
 use crate::designs::DesignKind;
-use crate::sweep::pool::default_workers;
+use crate::pool::default_workers;
 use crate::sweep::{run_sweep, SweepGrid, SweepPrecision};
 use bnn_arch::EnergyModel;
 use bnn_models::ModelConfig;

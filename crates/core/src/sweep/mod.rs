@@ -36,13 +36,10 @@
 pub mod json;
 pub mod summary;
 
-// The work-stealing pool started here and moved to the crate root when the serving engine
-// (`bnn-serve`) became its second client; the old `sweep::pool` path stays valid.
-pub use crate::pool;
-
 use crate::compare::DesignComparison;
 use crate::designs::DesignKind;
 use crate::evaluate::{evaluate_with_precision, DesignEvaluation};
+use crate::pool;
 use crate::scalability::{ScalabilityPoint, FIG13_SAMPLE_COUNTS};
 use bnn_arch::simulate::TrainingRunReport;
 use bnn_arch::EnergyModel;

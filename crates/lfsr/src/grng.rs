@@ -13,7 +13,8 @@
 //!    enters and the bit that leaves the register on each shift.
 
 use crate::error::LfsrError;
-use crate::lfsr::{Lfsr, LfsrState};
+use crate::lfsr::{Lfsr, LfsrState, MAX_WIDTH};
+use std::sync::OnceLock;
 
 /// Operating mode of a [`Grng`], mirroring the three modes of the hardware GRNG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -147,6 +148,23 @@ impl Grng {
         (f64::from(sum) - 0.5 * n) / (0.25 * n).sqrt()
     }
 
+    /// The pop-count → ε table the word-parallel fills read: entry `s` equals
+    /// [`Grng::epsilon_from_sum`]`(s)` for every `s` in `0..=width`. A pattern's ε depends
+    /// only on its pop-count, so the table replaces a divide per ε with a load. It is built
+    /// on first use, once per width, and shared by all generators of that width, so
+    /// constructing a generator never pays for it.
+    pub fn epsilon_table(&self) -> &'static [f64] {
+        // Slots are grouped 64 widths to a lazily allocated block: a flat static array of one
+        // `OnceLock` per width would put ~100 KB of initialized data in the binary.
+        type Block = [OnceLock<Box<[f64]>>; 64];
+        static BLOCKS: [OnceLock<Box<Block>>; MAX_WIDTH / 64 + 1] =
+            [const { OnceLock::new() }; MAX_WIDTH / 64 + 1];
+        let width = self.lfsr.width();
+        let block = BLOCKS[width / 64].get_or_init(|| Box::new([const { OnceLock::new() }; 64]));
+        block[width % 64]
+            .get_or_init(|| (0..=width as u32).map(|sum| self.epsilon_from_sum(sum)).collect())
+    }
+
     /// The ε corresponding to the register's *current* pattern (no shift).
     pub fn current_epsilon(&self) -> f64 {
         self.epsilon_from_sum(self.current_sum)
@@ -195,19 +213,21 @@ impl Grng {
     /// stepping the LFSR in 64-bit batches wherever the register supports it
     /// ([`crate::Lfsr::supports_batch64`]) and bit-serially otherwise. The emitted stream is
     /// bit-identical to `count` calls of [`Grng::next_epsilon`] — the batch only changes *how*
-    /// the register advances, never which patterns it visits (pinned by
+    /// the register advances, never which patterns it visits, and each ε is read from
+    /// [`Grng::epsilon_table`], which holds the formula's own values (pinned by
     /// `tests/word_parallel.rs`).
     fn fill_forward_with(&mut self, count: usize, mut emit: impl FnMut(usize, f64)) {
         assert_eq!(self.mode, GrngMode::Forward, "ε generation requires forward mode");
         let mut i = 0;
         if self.lfsr.supports_batch64() {
+            let table = self.epsilon_table();
             while count - i >= 64 {
                 let (entering, leaving) = self.lfsr.step_forward64();
                 let mut sum = self.current_sum;
                 for j in 0..64 {
                     let bit = 63 - j;
                     sum = sum + (((entering >> bit) & 1) as u32) - (((leaving >> bit) & 1) as u32);
-                    emit(i + j, self.epsilon_from_sum(sum));
+                    emit(i + j, table[sum as usize]);
                 }
                 self.current_sum = sum;
                 debug_assert_eq!(self.current_sum, self.lfsr.popcount());
@@ -236,17 +256,19 @@ impl Grng {
     /// The word-parallel backward core, the mirror of `fill_forward_with`: retrieves `count`
     /// ε values through `emit(index, ε)` in retrieval order (last generated first), rewinding
     /// the LFSR in 64-bit batches ([`crate::Lfsr::step_backward64`]) wherever the register
-    /// supports it and bit-serially otherwise. The emitted stream is bit-identical to `count`
-    /// calls of [`Grng::retrieve_epsilon`] (pinned by `tests/word_parallel.rs`).
+    /// supports it and bit-serially otherwise, reading each ε from [`Grng::epsilon_table`].
+    /// The emitted stream is bit-identical to `count` calls of [`Grng::retrieve_epsilon`]
+    /// (pinned by `tests/word_parallel.rs`).
     fn fill_backward_with(&mut self, count: usize, mut emit: impl FnMut(usize, f64)) {
         assert_eq!(self.mode, GrngMode::Backward, "ε retrieval requires backward mode");
         let mut i = 0;
         if self.lfsr.supports_batch64() {
+            let table = self.epsilon_table();
             while count - i >= 64 {
                 let (entering, leaving) = self.lfsr.step_backward64();
                 let mut sum = self.current_sum;
                 for j in 0..64 {
-                    emit(i + j, self.epsilon_from_sum(sum));
+                    emit(i + j, table[sum as usize]);
                     sum = sum + (((entering >> j) & 1) as u32) - (((leaving >> j) & 1) as u32);
                 }
                 self.current_sum = sum;

@@ -1,13 +1,34 @@
 //! Pins the word-parallel ε generation (`Grng::fill_epsilon`, built on
 //! `Lfsr::step_forward64`) and retrieval (`Grng::fill_retrieved` / `Grng::retrieve`, built on
 //! `Lfsr::step_backward64`) against the bit-serial paths for **every** supported LFSR width —
-//! the same stream, the same register trajectory, and full reversibility afterwards.
+//! the same stream, the same register trajectory, and full reversibility afterwards — and
+//! the pop-count → ε table both fills read against the formula it caches.
 
 use bnn_lfsr::taps::supported_widths;
 use bnn_lfsr::{Grng, GrngMode, Lfsr};
 
-/// Block lengths straddling the 64-step batch boundary.
-const LENGTHS: &[usize] = &[1, 63, 64, 65, 128, 257];
+/// Block lengths straddling the 64-step batch boundary, plus the B-LeNet proxy's per-layer
+/// ε blocks (162, 864 and 9,216 weights; the first two end in bit-serial tails).
+const LENGTHS: &[usize] = &[1, 63, 64, 65, 128, 162, 257, 864, 9216];
+
+#[test]
+fn epsilon_table_holds_the_formula_for_every_reachable_pop_count() {
+    for width in supported_widths() {
+        let grng = Grng::new(width, 0xACE1).unwrap();
+        let table = grng.epsilon_table();
+        assert_eq!(table.len(), width + 1, "width {width}: one entry per pop-count 0..=n");
+        // A maximal-length register visits every non-zero pattern: pop-counts 1..=n.
+        for sum in 1..=width as u32 {
+            let want = grng.epsilon_from_sum(sum);
+            let got = table[sum as usize];
+            assert_eq!(got.to_bits(), want.to_bits(), "width {width}, pop-count {sum}");
+            assert_eq!((got as f32).to_bits(), (want as f32).to_bits(), "width {width}, {sum}");
+        }
+        // Built once per width and shared, never per generator.
+        let other = Grng::new(width, 0xBEEF).unwrap();
+        assert!(std::ptr::eq(table, other.epsilon_table()), "width {width}: one shared table");
+    }
+}
 
 #[test]
 fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {

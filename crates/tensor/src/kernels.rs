@@ -625,10 +625,22 @@ pub fn fused_linear_accumulate(
 /// C\[m,n\] += Aᵀ · B where `a` is `[k, m]` and `b` is `[k, n]`, both row-major. Terms are
 /// accumulated `p`-ascending per scalar (the `p`-outer rank-1-update form), matching
 /// `a.transpose2().matmul(b)` bit for bit without materializing the transpose.
+///
+/// With `n == 1` (a linear layer's `Wᵀ·g`) the rank-1 update degenerates to `k` contiguous
+/// axpys `c[0..m] += a[p·m..(p+1)·m] · b[p]`, which run as one vectorized loop per `p`
+/// instead of `m` one-element loops; every scalar still adds its terms in ascending `p`.
 pub fn gemm_at_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
+    if n == 1 && m > 0 {
+        for (arow, &bv) in a.chunks_exact(m).zip(b) {
+            for (cv, &av) in c.iter_mut().zip(arow) {
+                *cv += av * bv;
+            }
+        }
+        return;
+    }
     for p in 0..k {
         let arow = &a[p * m..(p + 1) * m];
         let brow = &b[p * n..(p + 1) * n];
@@ -661,9 +673,28 @@ pub fn gemm_bt_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usiz
     }
 }
 
+/// The output positions `o < out` whose input tap `o·stride + tap − pad` lands inside
+/// `0..len`, as a half-open range — empty when every such tap falls in the padding.
+fn outputs_in_bounds(
+    tap: usize,
+    pad: usize,
+    stride: usize,
+    len: usize,
+    out: usize,
+) -> (usize, usize) {
+    let lo = pad.saturating_sub(tap).div_ceil(stride).min(out);
+    let hi = match (len + pad).checked_sub(tap + 1) {
+        Some(span) => (span / stride + 1).min(out),
+        None => 0,
+    };
+    (lo, hi.max(lo))
+}
+
 /// Packs `input` (`[N, H, W]`) into the im2col matrix `[N·K·K, OH·OW]`: row `(ic, ky, kx)`,
 /// column `(oy, ox)`, out-of-bounds taps as `0.0`. Row order `(ic, ky, kx)` is exactly the
-/// accumulation order of the reference forward loop.
+/// accumulation order of the reference forward loop. A row's in-bounds outputs form one
+/// range per axis ([`outputs_in_bounds`]), so each row segment is a zero fill, one copy
+/// (a slice copy at unit stride) and a zero fill instead of a bounds check per element.
 #[allow(clippy::too_many_arguments)]
 fn pack_im2col(
     col: &mut [f32],
@@ -675,26 +706,35 @@ fn pack_im2col(
     oh: usize,
     ow: usize,
 ) {
-    let k = geom.kernel;
-    let (stride, pad) = (geom.stride as isize, geom.padding as isize);
+    let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
     let cols = oh * ow;
     debug_assert_eq!(col.len(), n * k * k * cols);
     for ic in 0..n {
         let plane = &input[ic * h * w..(ic + 1) * h * w];
         for ky in 0..k {
+            let (y_lo, y_hi) = outputs_in_bounds(ky, pad, stride, h, oh);
             for kx in 0..k {
+                let (x_lo, x_hi) = outputs_in_bounds(kx, pad, stride, w, ow);
                 let row = &mut col[((ic * k + ky) * k + kx) * cols..][..cols];
-                for oy in 0..oh {
-                    let iy = oy as isize * stride + ky as isize - pad;
+                if x_lo == x_hi {
+                    row.fill(0.0);
+                    continue;
+                }
+                row[..y_lo * ow].fill(0.0);
+                row[y_hi * ow..].fill(0.0);
+                let x_first = x_lo * stride + kx - pad;
+                for oy in y_lo..y_hi {
+                    let src = &plane[(oy * stride + ky - pad) * w + x_first..];
                     let dst = &mut row[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, d) in dst.iter_mut().enumerate() {
-                        let ix = ox as isize * stride + kx as isize - pad;
-                        *d = if ix < 0 || ix >= w as isize { 0.0 } else { src[ix as usize] };
+                    dst[..x_lo].fill(0.0);
+                    dst[x_hi..].fill(0.0);
+                    let dst = &mut dst[x_lo..x_hi];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
+                        }
                     }
                 }
             }

@@ -46,12 +46,14 @@ proptest! {
         pad_raw in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
-        // Padding below the kernel size (every real model) exercises the packed path;
-        // the input must be large enough for at least one output pixel.
+        // Padding below the kernel size (every real model) exercises the packed path. The
+        // extents start at the smallest input with one output pixel, which is narrower than
+        // the kernel when padding supplies most taps: outputs one pixel wide (`ow = 1`) and,
+        // at stride ≥ 2, kernel taps whose valid output range is empty.
         let padding = pad_raw.min(kernel - 1);
-        let (extra_h, extra_w) = ((seed % 6) as usize, ((seed >> 8) % 6) as usize);
-        let h = kernel.max(kernel.saturating_sub(2 * padding)) + extra_h;
-        let w = kernel.max(kernel.saturating_sub(2 * padding)) + extra_w;
+        let min_extent = kernel.saturating_sub(2 * padding).max(1);
+        let h = min_extent + (seed % 10) as usize;
+        let w = min_extent + ((seed >> 8) % 10) as usize;
         let geom = ConvGeometry { in_channels: n, out_channels: m, kernel, stride, padding };
         let (oh, ow) = geom.output_size(h, w);
 
@@ -127,27 +129,41 @@ proptest! {
         assert_bits_eq(&got_gb, &want_gb, "sparse grad_bias")?;
     }
 
-    /// The transposed-operand GEMM variants match transpose-then-matmul bitwise.
+    /// The transposed-operand GEMM variants match transpose-then-matmul bitwise. `m` runs
+    /// past 8 and 16 lanes so the `n = 1` axpy form runs both its vector body and its
+    /// remainder.
     #[test]
     fn transposed_matmul_variants_match_bitwise(
-        m in 1usize..8,
-        k in 1usize..16,
+        m in 1usize..160,
+        k in 1usize..80,
         n in 1usize..8,
         seed in 0u64..u64::MAX,
     ) {
-        let a_t = fill(seed, &[k, m]);
-        let b = fill(seed ^ 0x1234, &[k, n]);
-        assert_bits_eq(
-            &a_t.matmul_at(&b).unwrap(),
-            &a_t.transpose2().matmul(&b).unwrap(),
-            "matmul_at",
-        )?;
-        let a = fill(seed ^ 0x4321, &[m, k]);
-        let b_t = fill(seed ^ 0x9876, &[n, k]);
-        assert_bits_eq(
-            &a.matmul_bt(&b_t).unwrap(),
-            &a.matmul(&b_t.transpose2()).unwrap(),
-            "matmul_bt",
-        )?;
+        check_transposed_variants(m, k, n, seed)?;
+    }
+}
+
+/// Checks `matmul_at` / `matmul_bt` against transpose-then-matmul for one shape.
+fn check_transposed_variants(m: usize, k: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let a_t = fill(seed, &[k, m]);
+    let b = fill(seed ^ 0x1234, &[k, n]);
+    assert_bits_eq(
+        &a_t.matmul_at(&b).unwrap(),
+        &a_t.transpose2().matmul(&b).unwrap(),
+        "matmul_at",
+    )?;
+    let a = fill(seed ^ 0x4321, &[m, k]);
+    let b_t = fill(seed ^ 0x9876, &[n, k]);
+    assert_bits_eq(&a.matmul_bt(&b_t).unwrap(), &a.matmul(&b_t.transpose2()).unwrap(), "matmul_bt")
+}
+
+/// Every proxy linear layer's `Wᵀ·g` shape (`m` inputs, `k` outputs, `n = 1`) — including the
+/// B-LeNet proxy's 144→64 layer — matches transpose-then-matmul bitwise.
+#[test]
+fn linear_layer_backward_shapes_match_bitwise() {
+    for (m, k) in [(144, 64), (64, 3), (64, 48), (48, 32), (32, 4)] {
+        for seed in [1u64, 0xDEAD_BEEF] {
+            check_transposed_variants(m, k, 1, seed).unwrap();
+        }
     }
 }

@@ -10,7 +10,8 @@
 use bnn_arch::EnergyModel;
 use bnn_models::{paper_bnns, ModelKind};
 use shift_bnn::designs::DesignKind;
-use shift_bnn::sweep::{pool, run_sweep, SweepGrid, SweepPrecision};
+use shift_bnn::pool;
+use shift_bnn::sweep::{run_sweep, SweepGrid, SweepPrecision};
 
 fn main() {
     let sample_counts = vec![8usize, 16, 32];
