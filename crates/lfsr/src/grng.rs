@@ -11,6 +11,32 @@
 //! 2. **Incremental pop-count** — instead of recounting ones with an adder tree after every
 //!    shift, the generator stores the seed's bit-sum and adds the difference between the bit that
 //!    enters and the bit that leaves the register on each shift.
+//!
+//! # Word-parallel extraction
+//!
+//! The hardware updates its sum once per shift, a serial chain of ±1 steps. The software twin
+//! keeps the same invariant — `current_sum` is always the pattern's pop-count — but moves up
+//! to 64 shifts per word operation ([`Lfsr::step_forward64`], [`Lfsr::step_backward64`]) and
+//! reads all of a batch's sums from prefix counts of the batch's entering and leaving bits:
+//!
+//! * **Forward.** Step `j` of the batch sits at bit `63 − j` of both words, so the sum after
+//!   step `r` is `current_sum + ones(entering, top r+1 bits) − ones(leaving, top r+1 bits)`.
+//! * **Backward.** Take the sum after the batch, `S = current_sum + popcnt(entering) −
+//!   popcnt(leaving)`. Step `j` of a `k`-step rewind sits at bit `j`; shifted up to bit
+//!   `64 − k + j`, the top `r + 1` bits are the batch's last `r + 1` steps, and the pattern
+//!   those steps walk back over is the `r`-th of the block in generation order. Its sum is
+//!   `S − ones(entering, top r+1) + ones(leaving, top r+1)`: the forward form with the roles
+//!   swapped and the base at the batch's far end, so the block comes out already in
+//!   generation order.
+//!
+//! Both directions read the prefix counts eight at a time from a const 256×8 table of byte
+//! prefix counts. A sum maps straight to an `f32`: by `(s − n/2)·c` in `f32` arithmetic when
+//! that reproduces every entry of [`Grng::epsilon_table`] narrowed to `f32` (checked once per
+//! width when its tables are built; true for the 256-bit default, `(s − 128)·0.125`), else by
+//! a load from an `f32` copy of the table (the 128- and 192-bit registers). A block that is
+//! not a whole number of words ends in one batch of `k < 64` steps through the same code.
+//! Registers without [`Lfsr::supports_batch64`] step bit-serially through
+//! [`Grng::next_epsilon`] and [`Grng::retrieve_epsilon`].
 
 use crate::error::LfsrError;
 use crate::lfsr::{Lfsr, LfsrState, MAX_WIDTH};
@@ -154,15 +180,34 @@ impl Grng {
     /// on first use, once per width, and shared by all generators of that width, so
     /// constructing a generator never pays for it.
     pub fn epsilon_table(&self) -> &'static [f64] {
+        &self.maps().table
+    }
+
+    /// This width's [`EpsilonMaps`], built on first use and shared by every generator of the
+    /// width.
+    fn maps(&self) -> &'static EpsilonMaps {
         // Slots are grouped 64 widths to a lazily allocated block: a flat static array of one
         // `OnceLock` per width would put ~100 KB of initialized data in the binary.
-        type Block = [OnceLock<Box<[f64]>>; 64];
+        type Block = [OnceLock<EpsilonMaps>; 64];
         static BLOCKS: [OnceLock<Box<Block>>; MAX_WIDTH / 64 + 1] =
             [const { OnceLock::new() }; MAX_WIDTH / 64 + 1];
         let width = self.lfsr.width();
         let block = BLOCKS[width / 64].get_or_init(|| Box::new([const { OnceLock::new() }; 64]));
-        block[width % 64]
-            .get_or_init(|| (0..=width as u32).map(|sum| self.epsilon_from_sum(sum)).collect())
+        block[width % 64].get_or_init(|| {
+            let table: Box<[f64]> =
+                (0..=width as u32).map(|sum| self.epsilon_from_sum(sum)).collect();
+            let half = (width / 2) as i32;
+            let scale = (1.0 / (0.25 * width as f64).sqrt()) as f32;
+            let exact = (0..)
+                .zip(&table)
+                .all(|(s, &e)| affine(s, half, scale).to_bits() == (e as f32).to_bits());
+            let narrow = if exact {
+                NarrowMap::Affine { half, scale }
+            } else {
+                NarrowMap::Table(table.iter().map(|&e| e as f32).collect())
+            };
+            EpsilonMaps { table, narrow }
+        })
     }
 
     /// The ε corresponding to the register's *current* pattern (no shift).
@@ -209,96 +254,102 @@ impl Grng {
         epsilon
     }
 
-    /// The word-parallel forward core: produces `count` ε values through `emit(index, ε)`,
-    /// stepping the LFSR in 64-bit batches wherever the register supports it
-    /// ([`crate::Lfsr::supports_batch64`]) and bit-serially otherwise. The emitted stream is
-    /// bit-identical to `count` calls of [`Grng::next_epsilon`] — the batch only changes *how*
-    /// the register advances, never which patterns it visits, and each ε is read from
-    /// [`Grng::epsilon_table`], which holds the formula's own values (pinned by
-    /// `tests/word_parallel.rs`).
-    fn fill_forward_with(&mut self, count: usize, mut emit: impl FnMut(usize, f64)) {
+    /// The forward core behind [`Grng::fill_epsilon`] and [`Grng::generate`]: writes the
+    /// next `out.len()` ε values, mapping each pattern's pop-count through `map`. It steps
+    /// the register in batches of up to 64 ([`Lfsr::step_forward64`]) wherever the register
+    /// supports it and reads each batch's pop-counts as prefix counts (module docs), or
+    /// steps with [`Grng::next_epsilon`] per value otherwise. `map` must return the ε of a
+    /// pop-count (a table entry or [`affine`]), so the stream is bit-identical to `out.len()`
+    /// calls of [`Grng::next_epsilon`] (pinned by `tests/word_parallel.rs`).
+    fn fill_forward_with<T: Copy + Default>(&mut self, out: &mut [T], map: impl Fn(i32) -> T) {
         assert_eq!(self.mode, GrngMode::Forward, "ε generation requires forward mode");
-        let mut i = 0;
-        if self.lfsr.supports_batch64() {
-            let table = self.epsilon_table();
-            while count - i >= 64 {
-                let (entering, leaving) = self.lfsr.step_forward64();
-                let mut sum = self.current_sum;
-                for j in 0..64 {
-                    let bit = 63 - j;
-                    sum = sum + (((entering >> bit) & 1) as u32) - (((leaving >> bit) & 1) as u32);
-                    emit(i + j, table[sum as usize]);
-                }
-                self.current_sum = sum;
-                debug_assert_eq!(self.current_sum, self.lfsr.popcount());
-                self.outstanding += 64;
-                crate::profile::record_epsilon(64);
-                i += 64;
+        if !self.lfsr.supports_batch64() {
+            for slot in out.iter_mut() {
+                self.next_epsilon();
+                *slot = map(self.current_sum as i32);
             }
+            return;
         }
-        while i < count {
-            emit(i, self.next_epsilon());
-            i += 1;
+        let mut sum = self.current_sum as i32;
+        for batch in out.chunks_mut(64) {
+            let (entering, leaving) = self.lfsr.step_forward64(batch.len());
+            let (starts, total) = octet_starts(entering, leaving);
+            prefix_fill(sum, &starts, entering, leaving, batch, &map);
+            sum += total;
         }
+        self.current_sum = sum as u32;
+        debug_assert_eq!(self.current_sum, self.lfsr.popcount());
+        self.outstanding += out.len() as i64;
+        crate::profile::record_epsilon(out.len() as u64);
     }
 
     /// Fills `out` with the next forward ε values as `f32` — the word-parallel,
     /// zero-allocation variant of [`Grng::generate`] that the training/serving hot path uses
-    /// (each value is the `f64` ε narrowed with `as f32`, exactly as the call sites used to).
+    /// (each value is the `f64` ε narrowed with `as f32`, bit for bit).
     ///
     /// # Panics
     ///
     /// Panics unless the GRNG is in [`GrngMode::Forward`].
     pub fn fill_epsilon(&mut self, out: &mut [f32]) {
-        self.fill_forward_with(out.len(), |i, e| out[i] = e as f32);
+        match &self.maps().narrow {
+            &NarrowMap::Affine { half, scale } => {
+                self.fill_forward_with(out, |s| affine(s, half, scale));
+            }
+            NarrowMap::Table(table) => self.fill_forward_with(out, |s| table[s as usize]),
+        }
     }
 
-    /// The word-parallel backward core, the mirror of `fill_forward_with`: retrieves `count`
-    /// ε values through `emit(index, ε)` in retrieval order (last generated first), rewinding
-    /// the LFSR in 64-bit batches ([`crate::Lfsr::step_backward64`]) wherever the register
-    /// supports it and bit-serially otherwise, reading each ε from [`Grng::epsilon_table`].
-    /// The emitted stream is bit-identical to `count` calls of [`Grng::retrieve_epsilon`]
-    /// (pinned by `tests/word_parallel.rs`).
-    fn fill_backward_with(&mut self, count: usize, mut emit: impl FnMut(usize, f64)) {
+    /// The backward core behind [`Grng::fill_retrieved`] and [`Grng::retrieve`], the mirror
+    /// of `fill_forward_with`: retrieves the last `out.len()` generated ε values and writes
+    /// them **in generation order**. It rewinds the register in batches of up to 64
+    /// ([`Lfsr::step_backward64`]), filling `out` from its end, and reads each batch's
+    /// pop-counts as prefix counts against the post-rewind sum, which yields the batch in
+    /// generation order (module docs); registers without the batch step with
+    /// [`Grng::retrieve_epsilon`] per value. Bit-identical to `out.len()` calls of
+    /// [`Grng::retrieve_epsilon`] written back to front (pinned by `tests/word_parallel.rs`).
+    fn fill_backward_with<T: Copy + Default>(&mut self, out: &mut [T], map: impl Fn(i32) -> T) {
         assert_eq!(self.mode, GrngMode::Backward, "ε retrieval requires backward mode");
-        let mut i = 0;
-        if self.lfsr.supports_batch64() {
-            let table = self.epsilon_table();
-            while count - i >= 64 {
-                let (entering, leaving) = self.lfsr.step_backward64();
-                let mut sum = self.current_sum;
-                for j in 0..64 {
-                    emit(i + j, table[sum as usize]);
-                    sum = sum + (((entering >> j) & 1) as u32) - (((leaving >> j) & 1) as u32);
-                }
-                self.current_sum = sum;
-                debug_assert_eq!(self.current_sum, self.lfsr.popcount());
-                self.outstanding -= 64;
-                i += 64;
+        if !self.lfsr.supports_batch64() {
+            for slot in out.iter_mut().rev() {
+                *slot = map(self.current_sum as i32);
+                self.retrieve_epsilon();
             }
+            return;
         }
-        while i < count {
-            emit(i, self.retrieve_epsilon());
-            i += 1;
+        let mut sum = self.current_sum as i32;
+        for batch in out.rchunks_mut(64) {
+            let (entering, leaving) = self.lfsr.step_backward64(batch.len());
+            let top = 64 - batch.len();
+            let (plus, minus) = (leaving << top, entering << top);
+            let (starts, total) = octet_starts(plus, minus);
+            sum -= total;
+            prefix_fill(sum, &starts, plus, minus, batch, &map);
         }
+        self.current_sum = sum as u32;
+        debug_assert_eq!(self.current_sum, self.lfsr.popcount());
+        self.outstanding -= out.len() as i64;
     }
 
     /// Fills `out` with retrieved ε values **in generation order** (the backward LFSR walk
-    /// visits them last-first; this writes back-to-front so callers get the block exactly as
-    /// it was generated) — the word-parallel, zero-allocation variant of reversing
-    /// [`Grng::retrieve`].
+    /// visits them last-first; `out` receives the block exactly as it was generated) — the
+    /// word-parallel, zero-allocation variant of reversing [`Grng::retrieve`].
     ///
     /// # Panics
     ///
     /// Panics unless the GRNG is in [`GrngMode::Backward`].
     pub fn fill_retrieved(&mut self, out: &mut [f32]) {
-        let last = out.len().saturating_sub(1);
-        self.fill_backward_with(out.len(), |i, e| out[last - i] = e as f32);
+        match &self.maps().narrow {
+            &NarrowMap::Affine { half, scale } => {
+                self.fill_backward_with(out, |s| affine(s, half, scale));
+            }
+            NarrowMap::Table(table) => self.fill_backward_with(out, |s| table[s as usize]),
+        }
     }
 
     /// Advances the generator past `count` forward ε values without emitting them — ending in
     /// exactly the state `count` calls of [`Grng::next_epsilon`] would leave (register,
-    /// pop-count and outstanding balance), but using word-parallel batches where supported.
+    /// pop-count and outstanding balance), but using word-parallel batches where supported,
+    /// and without counting the skipped values in [`crate::profile`].
     /// This is how Shift-BNN's retrieval source fast-forwards at iteration end so the next
     /// iteration draws fresh noise.
     ///
@@ -307,25 +358,25 @@ impl Grng {
     /// Panics unless the GRNG is in [`GrngMode::Forward`].
     pub fn skip_forward(&mut self, count: usize) {
         assert_eq!(self.mode, GrngMode::Forward, "skip_forward requires forward mode");
-        let mut remaining = count;
         if self.lfsr.supports_batch64() {
-            while remaining >= 64 {
-                self.lfsr.step_forward64();
-                self.outstanding += 64;
-                remaining -= 64;
+            let mut remaining = count;
+            while remaining > 0 {
+                let batch = remaining.min(64);
+                self.lfsr.step_forward64(batch);
+                remaining -= batch;
             }
-            self.current_sum = self.lfsr.popcount();
+        } else {
+            self.lfsr.step_forward_by(count);
         }
-        for _ in 0..remaining {
-            self.next_epsilon();
-        }
+        self.current_sum = self.lfsr.popcount();
+        self.outstanding += count as i64;
     }
 
     /// Generates `count` forward ε values (delegates to the word-parallel fill core).
     pub fn generate(&mut self, count: usize) -> Vec<f64> {
         let mut out = vec![0.0f64; count];
-        let out_ref = &mut out;
-        self.fill_forward_with(count, |i, e| out_ref[i] = e);
+        let table = self.epsilon_table();
+        self.fill_forward_with(&mut out, |s| table[s as usize]);
         out
     }
 
@@ -333,8 +384,9 @@ impl Grng {
     /// backward core).
     pub fn retrieve(&mut self, count: usize) -> Vec<f64> {
         let mut out = vec![0.0f64; count];
-        let out_ref = &mut out;
-        self.fill_backward_with(count, |i, e| out_ref[i] = e);
+        let table = self.epsilon_table();
+        self.fill_backward_with(&mut out, |s| table[s as usize]);
+        out.reverse();
         out
     }
 
@@ -441,6 +493,92 @@ impl Grng {
     }
 }
 
+/// `PREFIX_ONES[b][i]` is the number of ones among the top `i + 1` bits of byte `b`.
+const PREFIX_ONES: [[i32; 8]; 256] = {
+    let mut table = [[0i32; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[byte][i] = ((byte as u8) >> (7 - i)).count_ones() as i32;
+            i += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The byte of `word` holding bits `63 − 8i` down to `56 − 8i`.
+fn octet(word: u64, i: usize) -> usize {
+    usize::from((word >> (56 - 8 * i)) as u8)
+}
+
+/// A batch's running difference at each octet boundary: `starts[i]` is
+/// `ones(plus, top 8i bits) − ones(minus, top 8i bits)`, and the second value is the
+/// difference over the whole word. Kept apart from [`prefix_fill`]'s lanes so that the only
+/// chain from one octet to the next is this scalar sum.
+#[inline]
+fn octet_starts(plus: u64, minus: u64) -> ([i32; 8], i32) {
+    let mut starts = [0i32; 8];
+    let mut running = 0;
+    for (i, start) in starts.iter_mut().enumerate() {
+        *start = running;
+        running += PREFIX_ONES[octet(plus, i)][7] - PREFIX_ONES[octet(minus, i)][7];
+    }
+    (starts, running)
+}
+
+/// Writes `out[r] = map(base + ones(plus, top r+1 bits) − ones(minus, top r+1 bits))` for
+/// every `r < out.len() ≤ 64`, eight at a time from `PREFIX_ONES` on top of the octet
+/// `starts` of [`octet_starts`].
+#[inline]
+fn prefix_fill<T: Copy + Default>(
+    base: i32,
+    starts: &[i32; 8],
+    plus: u64,
+    minus: u64,
+    out: &mut [T],
+    map: &impl Fn(i32) -> T,
+) {
+    let fill = |i: usize, dst: &mut [T; 8]| {
+        let (p, m) = (&PREFIX_ONES[octet(plus, i)], &PREFIX_ONES[octet(minus, i)]);
+        let base = base + starts[i];
+        for ((d, &p), &m) in dst.iter_mut().zip(p).zip(m) {
+            *d = map(base + p - m);
+        }
+    };
+    let (octets, rest) = out.as_chunks_mut::<8>();
+    for (i, dst) in octets.iter_mut().enumerate() {
+        fill(i, dst);
+    }
+    if !rest.is_empty() {
+        let mut last = [T::default(); 8];
+        fill(octets.len(), &mut last);
+        rest.copy_from_slice(&last[..rest.len()]);
+    }
+}
+
+/// The `f32` ε of pop-count `s` on the affine path: `(s − half)·scale`.
+#[inline]
+fn affine(s: i32, half: i32, scale: f32) -> f32 {
+    (s - half) as f32 * scale
+}
+
+/// The pop-count → ε maps of one register width, built together on first use.
+struct EpsilonMaps {
+    /// [`Grng::epsilon_from_sum`] for every pop-count `0..=n`.
+    table: Box<[f64]>,
+    /// How the `f32` fills map a pop-count; both arms give `table[s] as f32` bit for bit.
+    narrow: NarrowMap,
+}
+
+enum NarrowMap {
+    /// [`affine`], used when it reproduces every narrowed table entry.
+    Affine { half: i32, scale: f32 },
+    /// The table narrowed once.
+    Table(Box<[f32]>),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,6 +595,18 @@ mod tests {
             grng.retrieve_epsilon();
             assert_eq!(grng.current_sum(), grng.lfsr().popcount());
         }
+    }
+
+    #[test]
+    fn only_the_256_bit_register_maps_sums_affinely() {
+        // The default register's f32 fills evaluate `(s − 128)·0.125`; the 128- and 192-bit
+        // registers, whose scale is irrational, load from the narrowed table.
+        for (width, affine) in [(128, false), (192, false), (256, true)] {
+            let maps = Grng::new(width, 1).unwrap().maps();
+            assert_eq!(matches!(maps.narrow, NarrowMap::Affine { .. }), affine, "width {width}");
+        }
+        let maps = Grng::shift_bnn_default(1).unwrap().maps();
+        assert!(matches!(maps.narrow, NarrowMap::Affine { half: 128, scale: 0.125 }));
     }
 
     #[test]

@@ -79,10 +79,44 @@ pub struct Lfsr {
     state: Vec<u64>,
     /// Number of forward steps minus backward steps since construction.
     position: i64,
+    /// The backward batch's tail-solve schedule, derived from the taps at construction
+    /// (`rewind_rounds`).
+    rewind: [u64; REWIND_ROUNDS],
 }
 
 fn words_for(width: usize) -> usize {
     width.div_ceil(64)
+}
+
+/// Upper bound on the rounds of [`Lfsr::step_backward64`]'s tail solve: every non-tail tap
+/// offset is at least 1, and round `i` shifts by `offset·2^i`, so round 6 would shift by 64.
+const REWIND_ROUNDS: usize = 6;
+
+/// The shift schedule of [`Lfsr::step_backward64`]'s tail solve: bit `s` of round `i` is set
+/// when some non-tail tap `t` has `(n − t)·2^i = s < 64`, so round `i` multiplies the
+/// recovered word by the GF(2) polynomial `1 + Σ_s x^s`. Rounds past the last one with a
+/// shift below 64 are zero.
+fn rewind_rounds(width: usize, taps: &[usize]) -> [u64; REWIND_ROUNDS] {
+    let mut rounds = [0u64; REWIND_ROUNDS];
+    for (i, round) in rounds.iter_mut().enumerate() {
+        for &t in &taps[..taps.len() - 1] {
+            let shift = (width - t) << i;
+            if shift < 64 {
+                *round |= 1 << shift;
+            }
+        }
+    }
+    rounds
+}
+
+/// `word` shifted left by `1 ≤ k ≤ 64`, with the top `k` bits of `carry` shifted in below it.
+fn shift_up(word: u64, carry: u64, k: usize) -> u64 {
+    (word << (k - 1) << 1) | (carry >> (64 - k))
+}
+
+/// `word` shifted right by `1 ≤ k ≤ 64`, with the low `k` bits of `carry` shifted in above it.
+fn shift_down(word: u64, carry: u64, k: usize) -> u64 {
+    (word >> (k - 1) >> 1) | (carry << (64 - k))
 }
 
 impl Lfsr {
@@ -118,7 +152,8 @@ impl Lfsr {
         }
         let mut taps = taps.to_vec();
         taps.sort_unstable();
-        Ok(Self { width, taps, state, position: 0 })
+        let rewind = rewind_rounds(width, &taps);
+        Ok(Self { width, taps, state, position: 0, rewind })
     }
 
     /// Creates an LFSR of the given width using the known maximal-length taps and a 64-bit seed.
@@ -236,7 +271,7 @@ impl Lfsr {
         dropped_head
     }
 
-    /// Whether this register supports the word-parallel 64-step batches
+    /// Whether this register supports the word-parallel batches of up to 64 steps
     /// ([`Lfsr::step_forward64`], [`Lfsr::step_backward64`]): the width must be a whole number
     /// of 64-bit words and every tap must sit at position ≥ 64, so that none of the 64
     /// feedback bits of a forward batch depends on a bit produced *within* the batch. The
@@ -256,84 +291,89 @@ impl Lfsr {
         }
     }
 
-    /// Advances the register by exactly 64 forward steps in one word-parallel operation —
-    /// bit-identical to 64 calls of [`Lfsr::step_forward`], but costing a handful of word
-    /// XOR/shift operations instead of 64 full-register shifts.
+    /// Advances the register by `k ≤ 64` forward steps in one word-parallel operation —
+    /// bit-identical to `k` calls of [`Lfsr::step_forward`], but costing a handful of word
+    /// XOR/shift operations instead of `k` full-register shifts.
     ///
     /// Because every tap position `t` satisfies `t ≥ 64`, feedback bit `f_j` of the batch
-    /// (`j = 0..64`) is `⊕_t b_{t−1−j}` over *pre-batch* register bits only, so all 64 bits
-    /// are computed at once: `⊕_t extract64(t − 64)` holds `f_j` at bit `63 − j` — which is
-    /// exactly the value the low word holds after 64 single steps. The remaining words just
-    /// move up one slot.
+    /// (`j < 64`) is `⊕_t b_{t−1−j}` over *pre-batch* register bits only, so all of them are
+    /// computed at once: `⊕_t extract64(t − 64)` holds `f_j` at bit `63 − j`. After `k` single
+    /// steps the register holds the old pattern moved up `k` places with `f_{k−1}, …, f_0`
+    /// below it — the top `k` bits of that word shifted in at the head.
     ///
     /// Returns `(entering, leaving)`: bit `63 − j` of `entering` is the feedback bit inserted
-    /// at step `j`, bit `63 − j` of `leaving` is the tail bit dropped at step `j` — the two
-    /// streams a GRNG needs to maintain its incremental pop-count through the batch.
+    /// at step `j`, bit `63 − j` of `leaving` is the tail bit dropped at step `j`, and the low
+    /// `64 − k` bits of both are zero — the two streams a GRNG reads its pop-counts from.
     ///
     /// # Panics
     ///
-    /// Debug-asserts [`Lfsr::supports_batch64`].
-    pub fn step_forward64(&mut self) -> (u64, u64) {
+    /// Debug-asserts [`Lfsr::supports_batch64`] and `1 ≤ k ≤ 64`.
+    #[inline]
+    pub fn step_forward64(&mut self, k: usize) -> (u64, u64) {
         debug_assert!(self.supports_batch64(), "step_forward64 requires word-aligned taps");
+        debug_assert!((1..=64).contains(&k), "a batch is 1 to 64 steps, not {k}");
+        let batch = u64::MAX << (64 - k);
         let mut entering = 0u64;
         for &t in &self.taps {
             entering ^= self.extract64(t - 64);
         }
-        let leaving = self.extract64(self.width - 64);
-        for i in (1..self.state.len()).rev() {
-            self.state[i] = self.state[i - 1];
+        let entering = entering & batch;
+        let leaving = self.extract64(self.width - 64) & batch;
+        let mut carry = entering;
+        for word in &mut self.state {
+            (*word, carry) = (shift_up(*word, carry, k), *word);
         }
-        self.state[0] = entering;
-        self.position += 64;
+        self.position += k as i64;
         (entering, leaving)
     }
 
-    /// Rewinds the register by exactly 64 backward steps in a few word operations —
-    /// bit-identical to 64 calls of [`Lfsr::step_backward`].
+    /// Rewinds the register by `k ≤ 64` backward steps in a few word operations —
+    /// bit-identical to `k` calls of [`Lfsr::step_backward`].
     ///
-    /// Write `y` for the pre-batch register bits `b_0..b_{n−1}` followed by the 64 bits the
+    /// Write `y` for the pre-batch register bits `b_0..b_{n−1}` followed by the bits the
     /// batch recovers into the tail, `W = y_n..y_{n+63}`. Eq. 3 gives bit `j` of `W` as
     /// `y_j ⊕ ⊕_{t<n} y_{t+j}` over the non-tail taps `t`. Terms with `t + j < n` read
     /// pre-batch bits; together they form `C`. The others are bits of `W` itself, recovered
     /// earlier in the batch at offset `d = n − t` (2, 5 and 10 for taps `{246, 251, 254,
     /// 256}`), so `W = C ⊕ ⊕_d (W ≪ d)`. Over GF(2) the shift-sum `A = Σ_d ≪d` is nilpotent
-    /// and `A^{2^k} = Σ_d ≪(d·2^k)`, so `W = Π_k (I ⊕ A^{2^k}) · C`: rounds of
-    /// `W ^= ⊕_d (W ≪ d·2^k)` until the smallest shift reaches 64, five for the default
-    /// register. The remaining words move down one slot.
+    /// and `A^{2^i} = Σ_d ≪(d·2^i)`, so `W = Π_i (I ⊕ A^{2^i}) · C`: rounds of
+    /// `W ^= ⊕_d (W ≪ d·2^i)` until the smallest shift reaches 64, five for the default
+    /// register. The rounds' shifts depend only on the taps, so they are derived once, when
+    /// the register is built. Bit `j` of `W` depends only on its lower bits, so a batch of
+    /// `k` steps keeps `W`'s low `k` bits; the pattern moves down `k` places with them
+    /// shifted in at the tail.
     ///
     /// Returns `(entering, leaving)`: bit `j` of `entering` is the tail bit recovered at
-    /// step `j`, bit `j` of `leaving` is the head bit dropped at step `j` — the streams a GRNG
-    /// needs to walk its incremental pop-count back through the batch.
+    /// step `j`, bit `j` of `leaving` is the head bit dropped at step `j`, and the high
+    /// `64 − k` bits of both are zero — the streams a GRNG reads its pop-counts from.
     ///
     /// # Panics
     ///
-    /// Debug-asserts [`Lfsr::supports_batch64`].
-    pub fn step_backward64(&mut self) -> (u64, u64) {
+    /// Debug-asserts [`Lfsr::supports_batch64`] and `1 ≤ k ≤ 64`.
+    #[inline]
+    pub fn step_backward64(&mut self, k: usize) -> (u64, u64) {
         debug_assert!(self.supports_batch64(), "step_backward64 requires word-aligned taps");
-        let n = self.width;
-        let leaving = self.state[0];
-        let mut entering = leaving;
-        let mut min_offset = 64;
+        debug_assert!((1..=64).contains(&k), "a batch is 1 to 64 steps, not {k}");
+        let batch = u64::MAX >> (64 - k);
+        let leaving = self.state[0] & batch;
+        let mut entering = self.state[0];
         for &t in &self.taps[..self.taps.len() - 1] {
             entering ^= self.extract64(t);
-            min_offset = min_offset.min(n - t);
         }
-        let mut scale = 1;
-        while min_offset * scale < 64 {
-            let mut next = entering;
-            for &t in &self.taps[..self.taps.len() - 1] {
-                let shift = (n - t) * scale;
-                if shift < 64 {
-                    next ^= entering << shift;
-                }
+        for &round in self.rewind.iter().take_while(|&&round| round != 0) {
+            let (mut next, mut shifts) = (entering, round);
+            while shifts != 0 {
+                next ^= entering << shifts.trailing_zeros();
+                shifts &= shifts - 1;
             }
             entering = next;
-            scale *= 2;
         }
-        let last = self.state.len() - 1;
-        self.state.copy_within(1.., 0);
-        self.state[last] = entering;
-        self.position -= 64;
+        let entering = entering & batch;
+        let mut carry = entering;
+        for word in self.state.iter_mut().rev() {
+            (*word, carry) = (shift_down(*word, carry, k), *word);
+        }
+        self.position -= k as i64;
         (entering, leaving)
     }
 
@@ -392,6 +432,7 @@ impl Lfsr {
         taps.sort_unstable();
         Ok(Self {
             width: state.width,
+            rewind: rewind_rounds(state.width, &taps),
             taps,
             state: state.state_words.clone(),
             position: state.position,

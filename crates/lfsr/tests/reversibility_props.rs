@@ -17,6 +17,13 @@ fn arb_seed() -> impl Strategy<Value = u64> {
     (1u64..u64::MAX).prop_map(|s| s | 1)
 }
 
+/// Block lengths that straddle the 64-step batch, or, half the time, one of the B-LeNet
+/// proxy's per-sample ε blocks (162, 864, 9,216 and 192 weights).
+fn arb_block_len() -> impl Strategy<Value = usize> {
+    (prop::bool::ANY, 0usize..200, prop::sample::select(vec![162usize, 864, 9216, 192]))
+        .prop_map(|(proxy, short, block)| if proxy { block } else { short })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -82,12 +89,13 @@ proptest! {
 
     /// The word-parallel block calls (`fill_epsilon`, `fill_retrieved`, `retrieve`,
     /// `skip_forward`) stay in lockstep with a bit-serial twin driven one ε at a time, across
-    /// random interleavings and block sizes that straddle the 64-step batch.
+    /// random interleavings of block sizes that straddle the 64-step batch and of the
+    /// B-LeNet proxy's blocks.
     #[test]
     fn word_parallel_blocks_track_a_bit_serial_twin(
         width in arb_width(),
         seed in arb_seed(),
-        blocks in prop::collection::vec((0u8..4, 0usize..200), 1..16),
+        blocks in prop::collection::vec((0u8..4, arb_block_len()), 1..16),
     ) {
         let mut fast = Grng::new(width, seed).unwrap();
         let mut serial = fast.clone();

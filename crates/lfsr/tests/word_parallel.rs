@@ -1,15 +1,37 @@
-//! Pins the word-parallel ε generation (`Grng::fill_epsilon`, built on
+//! Pins the word-parallel ε generation (`Grng::fill_epsilon` / `Grng::generate`, built on
 //! `Lfsr::step_forward64`) and retrieval (`Grng::fill_retrieved` / `Grng::retrieve`, built on
 //! `Lfsr::step_backward64`) against the bit-serial paths for **every** supported LFSR width —
-//! the same stream, the same register trajectory, and full reversibility afterwards — and
-//! the pop-count → ε table both fills read against the formula it caches.
+//! the same stream, the same register trajectory, and full reversibility afterwards — plus
+//! the `k`-step batches against `k` single steps and the pop-count → ε table the fills read
+//! against the formula it caches.
 
 use bnn_lfsr::taps::supported_widths;
-use bnn_lfsr::{Grng, GrngMode, Lfsr};
+use bnn_lfsr::{profile, Grng, GrngMode, Lfsr};
 
-/// Block lengths straddling the 64-step batch boundary, plus the B-LeNet proxy's per-layer
-/// ε blocks (162, 864 and 9,216 weights; the first two end in bit-serial tails).
-const LENGTHS: &[usize] = &[1, 63, 64, 65, 128, 162, 257, 864, 9216];
+/// Block lengths past 130 straddling 64-step batch boundaries, plus the B-LeNet proxy's
+/// per-layer ε blocks (162, 864, 9,216 and 192 weights; the first two end in a batch of
+/// fewer than 64 steps, 34 and 32).
+const LENGTHS: &[usize] = &[162, 192, 257, 864, 9216];
+
+/// The widths whose registers take the word-parallel batches.
+const BATCH_WIDTHS: [usize; 3] = [128, 192, 256];
+
+/// Every block length from 1 to 130 (each batch size 1..=64 ends a block at least once),
+/// then [`LENGTHS`].
+fn lengths() -> impl Iterator<Item = usize> {
+    (1..=130).chain(LENGTHS.iter().copied())
+}
+
+/// A register of `width` moved `offset` single steps from its seed (negative: backward).
+fn lfsr_at(width: usize, offset: i64) -> Lfsr {
+    let mut lfsr = Lfsr::with_maximal_taps(width, 0xBEEF).unwrap();
+    if offset >= 0 {
+        lfsr.step_forward_by(offset as usize);
+    } else {
+        lfsr.step_backward_by(offset.unsigned_abs() as usize);
+    }
+    lfsr
+}
 
 #[test]
 fn epsilon_table_holds_the_formula_for_every_reachable_pop_count() {
@@ -33,13 +55,17 @@ fn epsilon_table_holds_the_formula_for_every_reachable_pop_count() {
 #[test]
 fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {
     for width in supported_widths() {
-        for &len in LENGTHS {
+        for len in lengths() {
             let mut fast = Grng::new(width, 0xACE1).unwrap();
-            let mut serial = Grng::new(width, 0xACE1).unwrap();
+            let mut serial = fast.clone();
+            let mut vec_path = fast.clone();
             let mut got = vec![0.0f32; len];
             fast.fill_epsilon(&mut got);
-            for (i, g) in got.iter().enumerate() {
-                let want = serial.next_epsilon() as f32;
+            let got_vec = vec_path.generate(len);
+            for (i, (g, g_vec)) in got.iter().zip(&got_vec).enumerate() {
+                let want = serial.next_epsilon();
+                assert_eq!(g_vec.to_bits(), want.to_bits(), "width {width}, len {len}, [{i}]");
+                let want = want as f32;
                 assert_eq!(
                     g.to_bits(),
                     want.to_bits(),
@@ -47,13 +73,16 @@ fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {
                 );
             }
             // The register trajectory itself must agree, not just the emitted stream.
-            assert_eq!(
-                fast.lfsr().state_words(),
-                serial.lfsr().state_words(),
-                "width {width}, len {len}: register state diverged"
-            );
-            assert_eq!(fast.current_sum(), serial.current_sum());
-            assert_eq!(fast.outstanding(), serial.outstanding());
+            for fast in [&fast, &vec_path] {
+                assert_eq!(
+                    fast.lfsr().state_words(),
+                    serial.lfsr().state_words(),
+                    "width {width}, len {len}: register state diverged"
+                );
+                assert_eq!(fast.lfsr().position(), serial.lfsr().position());
+                assert_eq!(fast.current_sum(), serial.current_sum());
+                assert_eq!(fast.outstanding(), serial.outstanding());
+            }
         }
     }
 }
@@ -66,62 +95,71 @@ fn default_shift_bnn_register_takes_the_word_parallel_path() {
     // The 64-bit ablation width has a tap below 64 and must not (it would corrupt feedback).
     let lfsr = Lfsr::with_maximal_taps(64, 7).unwrap();
     assert!(!lfsr.supports_batch64());
+    // The batch tests below cover every batch-capable width of the tap table.
+    let capable: Vec<usize> = supported_widths()
+        .into_iter()
+        .filter(|&w| Lfsr::with_maximal_taps(w, 1).unwrap().supports_batch64())
+        .collect();
+    assert_eq!(capable, BATCH_WIDTHS);
 }
 
+/// Positions before the seed (negative) and after it, on and off 64-step alignment.
+const OFFSETS: [i64; 9] = [-300, -64, -1, 0, 1, 63, 64, 65, 1000];
+
 #[test]
-fn step_forward64_equals_sixty_four_single_steps() {
-    for width in supported_widths() {
-        let mut batched = Lfsr::with_maximal_taps(width, 0xBEEF).unwrap();
-        if !batched.supports_batch64() {
-            continue;
+fn step_forward64_equals_k_single_steps() {
+    for width in BATCH_WIDTHS {
+        for offset in OFFSETS {
+            let start = lfsr_at(width, offset);
+            assert!(start.supports_batch64(), "width {width}");
+            for k in 1..=64usize {
+                let at = format!("width {width} @ {offset}, k {k}");
+                let (mut batched, mut serial) = (start.clone(), start.clone());
+                let (entering, leaving) = batched.step_forward64(k);
+                let (mut want_entering, mut want_leaving) = (0u64, 0u64);
+                for j in 0..k {
+                    want_leaving |= u64::from(serial.step_forward()) << (63 - j);
+                    want_entering |= u64::from(serial.register(1)) << (63 - j);
+                }
+                assert_eq!(entering, want_entering, "{at}: feedback bits");
+                assert_eq!(leaving, want_leaving, "{at}: dropped tail bits");
+                assert_eq!(batched.state_words(), serial.state_words(), "{at}: state");
+                assert_eq!(batched.position(), serial.position(), "{at}");
+                assert_eq!(batched.position(), offset + k as i64, "{at}");
+            }
         }
-        let mut serial = batched.clone();
-        batched.step_forward64();
-        serial.step_forward_by(64);
-        assert_eq!(batched.state_words(), serial.state_words(), "width {width}");
-        assert_eq!(batched.position(), serial.position());
     }
 }
 
 #[test]
-fn step_backward64_equals_sixty_four_single_steps_from_any_position() {
-    let mut capable = 0;
-    for width in supported_widths() {
-        let start = Lfsr::with_maximal_taps(width, 0xBEEF).unwrap();
-        if !start.supports_batch64() {
-            continue;
-        }
-        capable += 1;
-        // Positions before the seed (negative) and after it, on and off 64-step alignment.
-        for offset in [-300i64, -64, -1, 0, 1, 63, 64, 65, 1000] {
-            let mut batched = start.clone();
-            if offset >= 0 {
-                batched.step_forward_by(offset as usize);
-            } else {
-                batched.step_backward_by(offset.unsigned_abs() as usize);
+fn step_backward64_equals_k_single_steps_from_any_position() {
+    for width in BATCH_WIDTHS {
+        for offset in OFFSETS {
+            let start = lfsr_at(width, offset);
+            assert!(start.supports_batch64(), "width {width}");
+            for k in 1..=64usize {
+                let at = format!("width {width} @ {offset}, k {k}");
+                let (mut batched, mut serial) = (start.clone(), start.clone());
+                let (entering, leaving) = batched.step_backward64(k);
+                let (mut want_entering, mut want_leaving) = (0u64, 0u64);
+                for j in 0..k {
+                    want_leaving |= u64::from(serial.step_backward()) << j;
+                    want_entering |= u64::from(serial.register(width)) << j;
+                }
+                assert_eq!(entering, want_entering, "{at}: recovered tail bits");
+                assert_eq!(leaving, want_leaving, "{at}: dropped head bits");
+                assert_eq!(batched.state_words(), serial.state_words(), "{at}: state");
+                assert_eq!(batched.position(), serial.position(), "{at}");
+                assert_eq!(batched.position(), offset - k as i64, "{at}");
             }
-            let mut serial = batched.clone();
-            let head_bits = batched.state_words()[0];
-            let (entering, leaving) = batched.step_backward64();
-            let mut want_entering = 0u64;
-            for j in 0..64 {
-                serial.step_backward();
-                want_entering |= u64::from(serial.register(width)) << j;
-            }
-            assert_eq!(batched.state_words(), serial.state_words(), "width {width} @ {offset}");
-            assert_eq!(batched.position(), serial.position());
-            assert_eq!(batched.position(), offset - 64);
-            assert_eq!(entering, want_entering, "width {width} @ {offset}: recovered tail bits");
-            assert_eq!(leaving, head_bits, "width {width} @ {offset}: dropped head bits");
         }
     }
-    assert!(capable >= 3, "the 128-, 192- and 256-bit registers batch");
 }
 
 #[test]
 fn fill_retrieved_and_retrieve_match_bit_serial_stream_for_all_supported_widths() {
     for width in supported_widths() {
-        for &len in LENGTHS {
+        for len in lengths() {
             // Generate a little more than the block so the walk starts mid-stream, then
             // retrieve the block three ways.
             let mut serial = Grng::new(width, 0xACE1).unwrap();
@@ -193,10 +231,14 @@ fn reseeding_reproduces_a_fresh_generator_without_reallocation() {
 #[test]
 fn skip_forward_lands_in_the_bit_serial_state() {
     for width in supported_widths() {
-        for &n in &[0usize, 1, 63, 64, 100, 257] {
+        for &n in &[0usize, 1, 63, 64, 65, 100, 130, 257] {
             let mut skipped = Grng::new(width, 0x1D).unwrap();
             let mut stepped = Grng::new(width, 0x1D).unwrap();
+            // Skipped values are not emitted, so the thread's ε counter must not move, on
+            // batch-capable widths and bit-serial ones alike.
+            let emitted = profile::epsilon_values();
             skipped.skip_forward(n);
+            assert_eq!(profile::epsilon_values(), emitted, "width {width}, n {n}: counted");
             for _ in 0..n {
                 stepped.next_epsilon();
             }
