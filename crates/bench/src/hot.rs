@@ -780,7 +780,7 @@ impl ObsOverheadBench {
 }
 
 /// Benchmarks a traced engine run against the untraced run over `requests` B-LeNet
-/// Monte-Carlo requests.
+/// Monte-Carlo requests, timing the two in alternation.
 ///
 /// # Panics
 ///
@@ -798,11 +798,16 @@ pub fn run_obs_overhead_bench(reps: usize, requests: usize) -> ObsOverheadBench 
         "responses must be byte-identical tracing-on vs tracing-off"
     );
     let events = recorder.len();
-    let untraced_ns = best_of(reps, || engine.run(&trace));
-    let traced_ns = best_of(reps, || {
-        recorder.clear();
-        engine.run_traced(&trace, &[], &mut recorder)
-    });
+    let (untraced_ns, traced_ns) = best_of_alternating(
+        reps,
+        || {
+            std::hint::black_box(engine.run(&trace));
+        },
+        || {
+            recorder.clear();
+            std::hint::black_box(engine.run_traced(&trace, &[], &mut recorder));
+        },
+    );
     ObsOverheadBench { requests, events, untraced_ns, traced_ns, digest: traced.responses_digest() }
 }
 

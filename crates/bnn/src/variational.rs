@@ -15,10 +15,14 @@
 //! functions of ρ alone, which changes only at [`VariationalParams::sgd_step`]. They are
 //! therefore cached per weight and computed once per update instead of once per sample.
 
-use bnn_tensor::activation::{sigmoid, softplus, softplus_inverse};
+use bnn_tensor::activation::{softplus, softplus_inverse};
 use bnn_tensor::init::{fan_in_out, xavier_uniform};
 use bnn_tensor::{Precision, Tensor, TensorError};
 use rand::Rng;
+
+/// Weights per chunk of [`VariationalParams::complexity_loss`]'s term pass (2 KiB of f64 on
+/// the stack).
+const COMPLEXITY_CHUNK: usize = 256;
 
 /// Hyper-parameters shared by every Bayesian layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,37 +57,62 @@ impl BayesConfig {
 /// they were filled from. Each tier fills lazily on first use and is refilled in place (no
 /// allocation) after ρ changes: a serving replica only ever fills σ, and construction never
 /// pays for either tier.
+///
+/// Both tiers start from one exponential per weight, `e = exp(−|ρ|)`: for ρ < 0 it is the
+/// `exp(ρ)` that `softplus` and `sigmoid` both begin with, for ρ ≥ 0 it is sigmoid's
+/// `exp(−ρ)`. Each pass below runs one libm function over the whole tensor, which measured
+/// faster than one loop calling all of them per weight.
 #[derive(Debug, Clone, Default)]
 struct SigmaCache {
     /// `σ = softplus(ρ)`, current while `sigma_fresh`.
     sigma: Vec<f32>,
     /// `ln σ` in f64, as the complexity loss accumulates it, current while `training_fresh`.
     ln_sigma: Vec<f64>,
-    /// `sigmoid(ρ)`, the softplus derivative, current while `training_fresh`.
+    /// `sigmoid(ρ)`, the softplus derivative, current while `training_fresh`. While only the σ
+    /// tier is fresh it holds `e = exp(−|ρ|)`, which the training tier converts in place.
     sigmoid: Vec<f32>,
     sigma_fresh: bool,
     training_fresh: bool,
 }
 
 impl SigmaCache {
-    /// σ for `rho`, filling it if ρ changed since the last fill.
+    /// σ for `rho`, filling it if ρ changed since the last fill: an `exp` pass into the sigmoid
+    /// buffer, then σ from it (an `ln_1p` pass for ρ < 0).
     fn sigma(&mut self, rho: &Tensor) -> &[f32] {
         if !self.sigma_fresh {
+            let rho = rho.data();
+            self.sigmoid.clear();
+            self.sigmoid.extend(rho.iter().map(|&r| (-r.abs()).exp()));
             self.sigma.clear();
-            self.sigma.extend(rho.data().iter().map(|&r| softplus(r)));
+            self.sigma.extend(rho.iter().zip(&self.sigmoid).map(|(&r, &e)| {
+                // softplus(ρ) with its own exp(ρ) already in `e`; ρ ≥ 0 (where `e` is exp(−ρ))
+                // and NaN take softplus itself.
+                if r < -20.0 {
+                    e
+                } else if r < 0.0 {
+                    e.ln_1p()
+                } else {
+                    softplus(r)
+                }
+            }));
             self.sigma_fresh = true;
+            self.training_fresh = false;
         }
         &self.sigma
     }
 
-    /// Every cached term for `rho`, filling whichever tier is stale.
+    /// Every cached term for `rho`, filling whichever tier is stale: an f64 `ln` pass over σ,
+    /// then `e` becomes `sigmoid(ρ)` in place.
     fn training(&mut self, rho: &Tensor) -> &Self {
         self.sigma(rho);
         if !self.training_fresh {
             self.ln_sigma.clear();
             self.ln_sigma.extend(self.sigma.iter().map(|&s| (s as f64).ln()));
-            self.sigmoid.clear();
-            self.sigmoid.extend(rho.data().iter().map(|&r| sigmoid(r)));
+            for (e, &r) in self.sigmoid.iter_mut().zip(rho.data()) {
+                // sigmoid's two branches: 1 / (1 + exp(−ρ)) and exp(ρ) / (1 + exp(ρ)).
+                let numerator = if r >= 0.0 { 1.0 } else { *e };
+                *e = numerator / (1.0 + *e);
+            }
             self.training_fresh = true;
         }
         self
@@ -244,15 +273,36 @@ impl VariationalParams {
     }
 
     /// Complexity contribution `Σ_i [log q(w_i|θ) − log P(w_i)]` for a sampled weight tensor.
+    ///
+    /// The terms are computed a fixed-size chunk at a time, off the summation chain, and then
+    /// added to one f64 total in ascending `i`, so the sum is the one-loop sum bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` or `epsilon.len()` differs from the parameter count.
     pub fn complexity_loss(&mut self, weights: &Tensor, epsilon: &[f32], prior_sigma: f32) -> f32 {
+        assert_eq!(weights.len(), self.len(), "weight tensor must match weight count");
+        assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
         let ln_sigma = &self.cache.training(&self.rho).ln_sigma;
         let ln_prior_sigma = (prior_sigma as f64).ln();
         let prior_var = (prior_sigma as f64).powi(2);
+        let mut terms = [0.0f64; COMPLEXITY_CHUNK];
         let mut total = 0.0f64;
-        for ((&w, &e), &ln_s) in weights.data().iter().zip(epsilon).zip(ln_sigma) {
-            let log_q = -ln_s - 0.5 * (e as f64) * (e as f64);
-            let log_p = -ln_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
-            total += log_q - log_p;
+        let chunks = weights
+            .data()
+            .chunks(COMPLEXITY_CHUNK)
+            .zip(epsilon.chunks(COMPLEXITY_CHUNK))
+            .zip(ln_sigma.chunks(COMPLEXITY_CHUNK));
+        for ((ws, es), ln_ss) in chunks {
+            let terms = &mut terms[..ws.len()];
+            for (((t, &w), &e), &ln_s) in terms.iter_mut().zip(ws).zip(es).zip(ln_ss) {
+                let log_q = -ln_s - 0.5 * (e as f64) * (e as f64);
+                let log_p = -ln_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
+                *t = log_q - log_p;
+            }
+            for &t in terms.iter() {
+                total += t;
+            }
         }
         total as f32
     }
@@ -321,6 +371,7 @@ impl VariationalParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bnn_tensor::activation::sigmoid;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -412,49 +463,133 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    fn from_mu_rho(mu: Vec<f32>, rho: Vec<f32>) -> VariationalParams {
+        let shape = vec![mu.len()];
+        let zeros = Tensor::zeros(&shape);
+        let mu = Tensor::from_vec(shape.clone(), mu).unwrap();
+        let rho = Tensor::from_vec(shape, rho).unwrap();
+        VariationalParams::from_raw(mu, rho, zeros.clone(), zeros).unwrap()
+    }
+
     #[test]
     fn cached_sigma_terms_follow_rho_through_sgd_steps() {
         let cfg = BayesConfig { kl_weight: 0.1, ..BayesConfig::default() };
-        let mut p = params();
-        let eps: Vec<f32> = (0..p.len()).map(|i| i as f32 * 0.37 - 2.0).collect();
-        let grad = Tensor::filled(p.shape(), 0.5);
-        for step in 0..3 {
-            // The readers below fill the cache from the current ρ; the update must make them
-            // see the new ρ, exactly as if σ, ln σ and sigmoid(ρ) were recomputed per call.
-            let rho = p.rho().data().to_vec();
-            let sigma: Vec<f32> = rho.iter().map(|&r| softplus(r)).collect();
-            let want_w: Vec<f32> = p
-                .mu()
-                .data()
-                .iter()
-                .zip(&eps)
-                .zip(&sigma)
-                .map(|((&m, &e), &s)| m + e * s)
-                .collect();
-            let w = p.sample(&eps, Precision::Fp32);
-            assert_eq!(bits(w.data()), bits(&want_w), "step {step}: sampled weights");
+        // Lengths around the complexity loss's chunk, and the B-LeNet proxy's largest block.
+        let chunk = COMPLEXITY_CHUNK;
+        for len in [12, 0, 1, chunk - 1, chunk, chunk + 1, 9216] {
+            // ρ on both sides of 0, so both derivations of σ and sigmoid(ρ) are read.
+            let mu = (0..len).map(|i| (i % 17) as f32 * 0.11 - 0.9).collect();
+            let rho = (0..len).map(|i| (i % 23) as f32 * 0.4 - 6.0).collect();
+            let mut p = from_mu_rho(mu, rho);
+            let eps: Vec<f32> = (0..len).map(|i| (i % 29) as f32 * 0.37 - 2.0).collect();
+            let grad = Tensor::filled(p.shape(), 0.5);
+            for step in 0..3 {
+                // The readers below fill the cache from the current ρ; the update must make
+                // them see the new ρ, exactly as if σ, ln σ and sigmoid(ρ) were recomputed per
+                // call.
+                let rho = p.rho().data().to_vec();
+                let sigma: Vec<f32> = rho.iter().map(|&r| softplus(r)).collect();
+                let want_w: Vec<f32> = p
+                    .mu()
+                    .data()
+                    .iter()
+                    .zip(&eps)
+                    .zip(&sigma)
+                    .map(|((&m, &e), &s)| m + e * s)
+                    .collect();
+                let w = p.sample(&eps, Precision::Fp32);
+                assert_eq!(
+                    bits(w.data()),
+                    bits(&want_w),
+                    "len {len}, step {step}: sampled weights"
+                );
 
-            let mut want_loss = 0.0f64;
-            for ((&wv, &e), &s) in w.data().iter().zip(&eps).zip(&sigma) {
-                let log_q = -(s as f64).ln() - 0.5 * (e as f64) * (e as f64);
-                let log_p = -(0.5f64).ln() - 0.5 * (wv as f64) * (wv as f64) / (0.5f64).powi(2);
-                want_loss += log_q - log_p;
+                // The one-loop f64 sum the chunked term pass must reproduce bit for bit.
+                let mut want_loss = 0.0f64;
+                for ((&wv, &e), &s) in w.data().iter().zip(&eps).zip(&sigma) {
+                    let log_q = -(s as f64).ln() - 0.5 * (e as f64) * (e as f64);
+                    let log_p = -(0.5f64).ln() - 0.5 * (wv as f64) * (wv as f64) / (0.5f64).powi(2);
+                    want_loss += log_q - log_p;
+                }
+                let loss = p.complexity_loss(&w, &eps, cfg.prior_sigma);
+                assert_eq!(
+                    loss.to_bits(),
+                    (want_loss as f32).to_bits(),
+                    "len {len}, step {step}: complexity"
+                );
+
+                let want_grad_rho: Vec<f32> = (0..len)
+                    .map(|i| {
+                        let total = 0.5 + cfg.kl_weight * w.data()[i] * 4.0;
+                        (eps[i] * total - cfg.kl_weight / sigma[i]) * sigmoid(rho[i])
+                    })
+                    .collect();
+                p.accumulate_gradients(&grad, &w, &eps, &cfg);
+                assert_eq!(
+                    bits(p.grad_rho().data()),
+                    bits(&want_grad_rho),
+                    "len {len}, step {step}: Δρ"
+                );
+
+                p.sgd_step(0.5, 1);
+                assert!(
+                    len == 0 || p.rho().data() != &rho[..],
+                    "step {step}: the update must move ρ"
+                );
             }
-            let loss = p.complexity_loss(&w, &eps, cfg.prior_sigma);
-            assert_eq!(loss.to_bits(), (want_loss as f32).to_bits(), "step {step}: complexity");
-
-            let want_grad_rho: Vec<f32> = (0..p.len())
-                .map(|i| {
-                    let total = 0.5 + cfg.kl_weight * w.data()[i] * 4.0;
-                    (eps[i] * total - cfg.kl_weight / sigma[i]) * sigmoid(rho[i])
-                })
-                .collect();
-            p.accumulate_gradients(&grad, &w, &eps, &cfg);
-            assert_eq!(bits(p.grad_rho().data()), bits(&want_grad_rho), "step {step}: Δρ");
-
-            p.sgd_step(0.5, 1);
-            assert_ne!(p.rho().data(), &rho[..], "step {step}: the update must move ρ");
         }
+    }
+
+    #[test]
+    fn refilled_terms_equal_softplus_ln_and_sigmoid_on_every_branch() {
+        // ρ < −20, the ±20 cutoffs and one ulp past them, [−20, 0), ±0.0, subnormals, (0, 20],
+        // > 20 and ±∞, then a sweep across both cutoffs.
+        let mut rho = vec![
+            f32::NEG_INFINITY,
+            f32::MIN,
+            -1e30,
+            -40.0,
+            -20.000002,
+            -20.0,
+            -19.99,
+            -4.0,
+            -1e-3,
+            -f32::MIN_POSITIVE,
+            -1e-40,
+            -0.0,
+            0.0,
+            1e-40,
+            f32::MIN_POSITIVE,
+            1e-3,
+            4.0,
+            19.99,
+            20.0,
+            20.000002,
+            40.0,
+            1e30,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        rho.extend((0..2_000).map(|i| i as f32 * 0.0271 - 27.1));
+        let mut p = from_mu_rho(vec![0.0; rho.len()], rho.clone());
+        let want_sigma: Vec<f32> = rho.iter().map(|&r| softplus(r)).collect();
+        assert_eq!(bits(p.cache.sigma(&p.rho)), bits(&want_sigma), "σ tier");
+        let terms = p.cache.training(&p.rho);
+        assert_eq!(bits(&terms.sigma), bits(&want_sigma), "σ after the training tier");
+        let ln_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want_ln: Vec<f64> = want_sigma.iter().map(|&s| (s as f64).ln()).collect();
+        assert_eq!(ln_bits(&terms.ln_sigma), ln_bits(&want_ln), "ln σ");
+        let want_sigmoid: Vec<f32> = rho.iter().map(|&r| sigmoid(r)).collect();
+        assert_eq!(bits(&terms.sigmoid), bits(&want_sigmoid), "sigmoid(ρ)");
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon block size must match weight count")]
+    fn complexity_loss_rejects_a_short_epsilon_block() {
+        let mut p = params();
+        let w = Tensor::zeros(p.shape());
+        let eps = vec![0.0f32; p.len() - 1];
+        p.complexity_loss(&w, &eps, 0.5);
     }
 
     #[test]
