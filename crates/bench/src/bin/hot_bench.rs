@@ -3,7 +3,9 @@
 //! Measures, in one run:
 //!
 //! 1. the packed im2col+GEMM convolution kernels against the retained reference loop nests
-//!    (per geometry × direction, asserting bit-identical outputs as it goes);
+//!    (per geometry × direction, asserting bit-identical outputs as it goes), and every
+//!    GEMM tier over the gated `simd_gemm` shapes and over the B-LeNet proxy's six conv
+//!    shapes, whose column tails give the ungated `simd_gemm_tails` ratio;
 //! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks — the
 //!    `eps_generate` and `eps_retrieve` ratios gated by `bench_regression`;
 //! 3. a traced engine run against the identical untraced run (responses asserted
@@ -27,8 +29,8 @@ use bnn_tensor::KernelTier;
 use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{
     full_json, geometric_mean, run_epsilon_bench, run_fused_serve_bench, run_fused_training_bench,
-    run_kernel_benches, run_obs_overhead_bench, run_tier_benches, summary_json, EpsilonBench,
-    KernelBench, ServeProbe, TierBench, TracedServeProbe, TrainingProbe,
+    run_kernel_benches, run_obs_overhead_bench, run_tail_benches, run_tier_benches, summary_json,
+    EpsilonBench, KernelBench, ServeProbe, TierBench, TracedServeProbe, TrainingProbe,
 };
 use shift_bnn_bench::print_table;
 
@@ -86,11 +88,27 @@ fn steady_allocs(warmup: usize, measured: usize, mut work: impl FnMut()) -> u64 
     ALLOC.allocations() - before
 }
 
+/// Prints one row per GEMM shape: each tier's best-of time and the SIMD-over-blocked ratio.
+fn print_tiers(title: &str, tiers: &[TierBench]) {
+    let rows: Vec<Vec<String>> = tiers
+        .iter()
+        .map(|t| {
+            let mut row = vec![t.name.to_string()];
+            row.extend(KernelTier::ALL.iter().map(|&tier| format!("{:.1}", t.ns(tier) / 1e3)));
+            row.push(format!("{:.2}x", t.simd_speedup()));
+            row
+        })
+        .collect();
+    let header = ["shape", "reference µs", "blocked µs", "simd µs", "fastmath µs", "simd/blocked"];
+    print_table(title, &header, &rows);
+}
+
 fn main() {
     let args = parse_args();
 
     let kernels = run_kernel_benches(args.reps);
     let tiers = run_tier_benches(args.reps);
+    let tails = run_tail_benches(args.reps);
     let fused = run_fused_serve_bench(args.reps, 16);
     let fused_training = run_fused_training_bench(args.reps, 8);
     let obs = run_obs_overhead_bench(args.reps, 48);
@@ -126,23 +144,17 @@ fn main() {
     let geomean = geometric_mean(&speedups);
     println!("\ngeometric-mean conv kernel speedup: {geomean:.2}x");
 
-    let tier_rows: Vec<Vec<String>> = tiers
-        .iter()
-        .map(|t: &TierBench| {
-            let mut row = vec![t.name.to_string()];
-            row.extend(KernelTier::ALL.iter().map(|&tier| format!("{:.1}", t.ns(tier) / 1e3)));
-            row.push(format!("{:.2}x", t.simd_speedup()));
-            row
-        })
-        .collect();
-    print_table(
+    print_tiers(
         "GEMM kernel tiers (bit-exact tiers asserted identical; fastmath ULP-bounded)",
-        &["shape", "reference µs", "blocked µs", "simd µs", "fastmath µs", "simd/blocked"],
-        &tier_rows,
+        &tiers,
     );
     let simd_gemm =
         geometric_mean(&tiers.iter().map(TierBench::simd_speedup).collect::<Vec<f64>>());
     println!("\ngeometric-mean SIMD-over-blocked GEMM speedup: {simd_gemm:.2}x");
+    print_tiers("B-LeNet proxy conv GEMMs: column tails past the 16-wide tile", &tails);
+    let simd_gemm_tails =
+        geometric_mean(&tails.iter().map(TierBench::simd_speedup).collect::<Vec<f64>>());
+    println!("\ngeometric-mean SIMD-over-blocked tail GEMM speedup: {simd_gemm_tails:.2}x");
     println!(
         "fused sampling (S = {}): per-sample {:.1} µs, fused {:.1} µs ({:.2}x), \
          response digest {}",
@@ -209,6 +221,7 @@ fn main() {
         let doc = full_json(
             &kernels,
             &tiers,
+            &tails,
             &fused,
             &fused_training,
             &obs,

@@ -260,6 +260,26 @@ impl TierBench {
     pub fn simd_speedup(&self) -> f64 {
         self.ns(KernelTier::Blocked) / self.ns(KernelTier::Simd)
     }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("name", Json::Str(self.name.to_string())),
+            ("m", Json::UInt(self.m as u64)),
+            ("k", Json::UInt(self.k as u64)),
+            ("n", Json::UInt(self.n as u64)),
+            (
+                "tier_ns",
+                Json::obj(
+                    self.tier_ns
+                        .iter()
+                        .map(|(tier, ns)| (tier.label(), Json::Float(*ns)))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+            ("simd_speedup", Json::Float(self.simd_speedup())),
+            ("digest", Json::Str(self.digest.clone())),
+        ])
+    }
 }
 
 /// The tier-arm GEMM shapes: the im2col products of the serving-scale conv geometries (the
@@ -272,6 +292,20 @@ fn tier_shapes() -> [(&'static str, usize, usize, usize); 3] {
     ]
 }
 
+/// The B-LeNet proxy's six conv GEMM shapes: forward, input gradient and weight gradient of
+/// its first and second convolution. Their column counts (144, 27, 36, 54) leave tails of 0,
+/// 11, 4 and 6 columns past the 16-wide SIMD tile, which no [`tier_shapes`] entry has.
+fn tail_shapes() -> [(&'static str, usize, usize, usize); 6] {
+    [
+        ("gemm_6x27x144", 6, 27, 144),
+        ("gemm_3x54x144", 3, 54, 144),
+        ("gemm_6x144x27", 6, 144, 27),
+        ("gemm_16x54x36", 16, 54, 36),
+        ("gemm_6x144x36", 6, 144, 36),
+        ("gemm_16x36x54", 16, 36, 54),
+    ]
+}
+
 /// Runs every [`KernelTier`] over the tier-arm GEMM shapes.
 ///
 /// # Panics
@@ -279,9 +313,23 @@ fn tier_shapes() -> [(&'static str, usize, usize, usize); 3] {
 /// Panics if any tier in [`KernelTier::BIT_EXACT`] — serial or M-split across 3 GEMM
 /// workers — is not bit-identical to the reference tier.
 pub fn run_tier_benches(reps: usize) -> Vec<TierBench> {
-    tier_shapes()
-        .into_iter()
-        .map(|(name, m, k, n)| {
+    run_tiers(reps, &tier_shapes())
+}
+
+/// Runs every [`KernelTier`] over the B-LeNet proxy's conv GEMM shapes, whose column tails
+/// the `simd_gemm` shapes never reach.
+///
+/// # Panics
+///
+/// As [`run_tier_benches`].
+pub fn run_tail_benches(reps: usize) -> Vec<TierBench> {
+    run_tiers(reps, &tail_shapes())
+}
+
+fn run_tiers(reps: usize, shapes: &[(&'static str, usize, usize, usize)]) -> Vec<TierBench> {
+    shapes
+        .iter()
+        .map(|&(name, m, k, n)| {
             let a = fill_tensor(0x7E12 ^ m as u64, &[m, k]);
             let b = fill_tensor(0x7E34 ^ n as u64, &[k, n]);
             let mut want = vec![0.0f32; m * n];
@@ -857,12 +905,14 @@ pub fn summary_json(
 
 /// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings,
 /// speedups and the geometric mean alongside everything in the summary, plus PR 8's
-/// per-tier GEMM arms, the fused-serving and fused-training arms and the named `speedups`
-/// object gated by `bench_regression --min-speedup`.
+/// per-tier GEMM arms, the proxy's column-tail GEMM arms, the fused-serving and
+/// fused-training arms and the named `speedups` object gated by
+/// `bench_regression --min-speedup`.
 #[allow(clippy::too_many_arguments)]
 pub fn full_json(
     kernels: &[KernelBench],
     tiers: &[TierBench],
+    tails: &[TierBench],
     fused: &FusedBench,
     fused_training: &FusedBench,
     obs: &ObsOverheadBench,
@@ -873,6 +923,7 @@ pub fn full_json(
 ) -> Json {
     let speedups: Vec<f64> = kernels.iter().map(KernelBench::speedup).collect();
     let simd: Vec<f64> = tiers.iter().map(TierBench::simd_speedup).collect();
+    let simd_tails: Vec<f64> = tails.iter().map(TierBench::simd_speedup).collect();
     Json::obj([
         (
             "kernels",
@@ -893,33 +944,8 @@ pub fn full_json(
             ),
         ),
         ("geometric_mean_speedup", Json::Float(geometric_mean(&speedups))),
-        (
-            "kernel_tiers",
-            Json::Array(
-                tiers
-                    .iter()
-                    .map(|t| {
-                        Json::obj([
-                            ("name", Json::Str(t.name.to_string())),
-                            ("m", Json::UInt(t.m as u64)),
-                            ("k", Json::UInt(t.k as u64)),
-                            ("n", Json::UInt(t.n as u64)),
-                            (
-                                "tier_ns",
-                                Json::obj(
-                                    t.tier_ns
-                                        .iter()
-                                        .map(|(tier, ns)| (tier.label(), Json::Float(*ns)))
-                                        .collect::<Vec<_>>(),
-                                ),
-                            ),
-                            ("simd_speedup", Json::Float(t.simd_speedup())),
-                            ("digest", Json::Str(t.digest.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("kernel_tiers", Json::Array(tiers.iter().map(TierBench::json).collect())),
+        ("kernel_tail_tiers", Json::Array(tails.iter().map(TierBench::json).collect())),
         ("fused_serving", fused.json()),
         ("fused_training", fused_training.json()),
         (
@@ -937,6 +963,7 @@ pub fn full_json(
             "speedups",
             Json::obj([
                 ("simd_gemm", Json::Float(geometric_mean(&simd))),
+                ("simd_gemm_tails", Json::Float(geometric_mean(&simd_tails))),
                 ("fused_sampling", Json::Float(fused.speedup())),
                 ("fused_training", Json::Float(fused_training.speedup())),
                 ("obs_overhead", Json::Float(obs.overhead())),
@@ -986,7 +1013,9 @@ mod tests {
     fn tier_benches_cover_every_tier_and_assert_bit_exactness() {
         let tiers = run_tier_benches(1);
         assert_eq!(tiers.len(), tier_shapes().len());
-        for t in &tiers {
+        let tails = run_tail_benches(1);
+        assert_eq!(tails.len(), tail_shapes().len());
+        for t in tiers.iter().chain(&tails) {
             assert_eq!(t.tier_ns.len(), KernelTier::ALL.len());
             assert_eq!(t.digest.len(), 16);
             for tier in KernelTier::ALL {
@@ -1015,15 +1044,18 @@ mod tests {
     fn full_json_names_the_gated_speedups() {
         let kernels = run_kernel_benches(1);
         let tiers = run_tier_benches(1);
+        let tails = run_tail_benches(1);
         let fused = run_fused_serve_bench(1, 4);
         let fused_training = run_fused_training_bench(1, 2);
         let obs = run_obs_overhead_bench(1, 8);
         let epsilon = run_epsilon_bench(1, 128);
-        let doc = full_json(&kernels, &tiers, &fused, &fused_training, &obs, &epsilon, 0, 0, 0)
-            .to_compact();
+        let doc =
+            full_json(&kernels, &tiers, &tails, &fused, &fused_training, &obs, &epsilon, 0, 0, 0)
+                .to_compact();
         for name in [
             "speedups",
             "simd_gemm",
+            "simd_gemm_tails",
             "fused_sampling",
             "fused_training",
             "obs_overhead",

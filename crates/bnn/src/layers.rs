@@ -19,8 +19,8 @@ use crate::variational::{BayesConfig, VariationalParams};
 use bnn_tensor::activation::{relu_backward_into, relu_into};
 use bnn_tensor::conv::ConvGeometry;
 use bnn_tensor::kernels::{
-    conv2d_backward_input_into, conv2d_backward_weights_into, conv2d_forward_into,
-    fused_linear_accumulate, gemm_at_accumulate,
+    conv2d_backward_input_into, conv2d_backward_weights_packed, conv2d_forward_packed,
+    fused_linear_accumulate, gemm_at_accumulate, pack_im2col, pack_im2row,
 };
 use bnn_tensor::pool::{max_pool2d_backward_into, max_pool2d_into};
 use bnn_tensor::{Scratch, Tensor, TensorError};
@@ -32,7 +32,8 @@ use rand::Rng;
 ///
 /// 1. [`begin_iteration`](Layer::begin_iteration) with the number of Monte-Carlo samples `S`;
 /// 2. for each sample `s`: [`forward`](Layer::forward) through all layers, then
-///    [`backward`](Layer::backward) through all layers in reverse;
+///    [`backward`](Layer::backward) through all layers in reverse (the first layer through
+///    [`backward_params`](Layer::backward_params));
 /// 3. [`apply_update`](Layer::apply_update) once.
 ///
 /// Inputs and upstream gradients are consumed by value; every intermediate buffer comes from
@@ -64,6 +65,26 @@ pub trait Layer {
         eps: &mut dyn EpsilonSource,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError>;
+
+    /// [`backward`](Layer::backward) for a layer whose input gradient nobody reads — the
+    /// first layer of a network: accumulates the parameter gradients exactly as `backward`
+    /// does and returns no input gradient. The default runs `backward` and recycles the
+    /// result; layers whose input gradient costs real work override it to skip that work.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError`] if the gradient shape does not match the layer.
+    fn backward_params(
+        &mut self,
+        sample: usize,
+        grad_output: Tensor,
+        eps: &mut dyn EpsilonSource,
+        scratch: &mut Scratch,
+    ) -> Result<(), TensorError> {
+        let grad_input = self.backward(sample, grad_output, eps, scratch)?;
+        scratch.put_tensor(grad_input);
+        Ok(())
+    }
 
     /// Forward pass of **all** `samples` sampled models over a sample-stacked activation
     /// (the fused-sampling path). `stacked` holds the per-sample activations sample-major:
@@ -513,6 +534,12 @@ impl Layer for BayesLinear {
 
 /// A Bayesian 2-D convolution layer with per-sample weight sampling, running on the packed
 /// im2col+GEMM kernels of [`bnn_tensor::kernels`].
+///
+/// All `S` samples feed the first layer the same example, so the layer keeps its forward
+/// im2col panel and its weight-gradient im2row panel in buffers it owns and repacks one only
+/// when its input is not bitwise (shape and data) the input the panel was packed from. Each
+/// panel records the sample whose cached input it holds, so the test compares against an
+/// input the layer already caches and nothing is copied into a key.
 #[derive(Debug)]
 pub struct BayesConv2d {
     geometry: ConvGeometry,
@@ -523,6 +550,22 @@ pub struct BayesConv2d {
     samples: usize,
     cached_inputs: Vec<Option<Tensor>>,
     accumulated_complexity: f32,
+    /// The forward GEMM's im2col panel.
+    col_panel: Vec<f32>,
+    /// The sample whose forward input `col_panel` was packed from (or proven identical to).
+    col_sample: Option<usize>,
+    /// The weight-gradient GEMM's im2row panel.
+    row_panel: Vec<f32>,
+    /// The sample whose *cached* input `row_panel` holds, claimed by the previous sample's
+    /// backward. Every change to that cache slot voids the claim: `backward` taking it,
+    /// `forward` replacing it, `begin_iteration` emptying it.
+    row_sample: Option<usize>,
+}
+
+/// Whether two float slices hold the same bits (`-0.0` and `0.0` differ): the test under
+/// which a panel packed from one is the panel of the other. Stops at the first difference.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl BayesConv2d {
@@ -530,16 +573,9 @@ impl BayesConv2d {
     pub fn new(geometry: ConvGeometry, config: BayesConfig, rng: &mut impl Rng) -> Self {
         let shape = [geometry.out_channels, geometry.in_channels, geometry.kernel, geometry.kernel];
         let weights = VariationalParams::init(&shape, &config, rng);
-        Self {
-            geometry,
-            weights,
-            bias: Tensor::zeros(&[geometry.out_channels]),
-            grad_bias: Tensor::zeros(&[geometry.out_channels]),
-            config,
-            samples: 1,
-            cached_inputs: Vec::new(),
-            accumulated_complexity: 0.0,
-        }
+        let bias = Tensor::zeros(&[geometry.out_channels]);
+        Self::from_parts(geometry, weights, bias.clone(), bias, config)
+            .expect("initialized parameters match the geometry")
     }
 
     /// Reassembles a layer from captured parameters (the checkpoint-restore constructor,
@@ -579,6 +615,10 @@ impl BayesConv2d {
             samples: 1,
             cached_inputs: Vec::new(),
             accumulated_complexity: 0.0,
+            col_panel: Vec::new(),
+            col_sample: None,
+            row_panel: Vec::new(),
+            row_sample: None,
         })
     }
 
@@ -602,6 +642,90 @@ impl BayesConv2d {
         self.weights.sample_into(epsilon, self.config.precision, &mut w);
         w
     }
+
+    /// Whether `sample`'s cached input is bitwise `input`: the same shape and the same bits.
+    fn caches(&self, sample: usize, input: &Tensor) -> bool {
+        self.cached_inputs.get(sample).and_then(Option::as_ref).is_some_and(|cached| {
+            cached.shape() == input.shape() && same_bits(cached.data(), input.data())
+        })
+    }
+
+    /// The backward stage behind both [`Layer::backward`] and [`Layer::backward_params`]: it
+    /// checks `grad_output` before touching any state, retrieves ε, reconstructs the
+    /// weights, accumulates the parameter gradients and, when `input_grad` is set, returns
+    /// the gradient w.r.t. the input.
+    fn backward_stage(
+        &mut self,
+        sample: usize,
+        grad_output: Tensor,
+        eps: &mut dyn EpsilonSource,
+        scratch: &mut Scratch,
+        input_grad: bool,
+    ) -> Result<Option<Tensor>, TensorError> {
+        let cached = self.cached_inputs[sample]
+            .as_ref()
+            .expect("backward called for a sample without a cached forward");
+        let (h, wd) = (cached.shape()[1], cached.shape()[2]);
+        let (oh, ow) = self.geometry.output_size(h, wd);
+        let expect = [self.geometry.out_channels, oh, ow];
+        if grad_output.shape() != expect {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_output.shape().to_vec(),
+                right: expect.to_vec(),
+            });
+        }
+        let input = self.cached_inputs[sample].take().expect("checked above");
+        let mut epsilon = scratch.take_f32(self.weights.len());
+        eps.retrieve_block_into(&mut epsilon);
+        let w = self.sample_weights(&epsilon, scratch);
+
+        let grad_input = if input_grad {
+            let mut grad_input = scratch.take_tensor(&[self.geometry.in_channels, h, wd]);
+            conv2d_backward_input_into(
+                &self.geometry,
+                &grad_output,
+                &w,
+                h,
+                wd,
+                &mut grad_input,
+                scratch,
+            )?;
+            Some(grad_input)
+        } else {
+            None
+        };
+
+        if self.row_sample != Some(sample) {
+            self.row_panel.resize(self.geometry.panel_len(h, wd), 0.0);
+            pack_im2row(&self.geometry, input.data(), h, wd, &mut self.row_panel);
+        }
+        // Claim the panel for the next sample when its cached input is bitwise this one.
+        let next = sample + 1;
+        self.row_sample = self.caches(next, &input).then_some(next);
+
+        let mut grad_w = scratch.take_tensor(self.weights.shape());
+        let mut grad_b = scratch.take_tensor(&[self.geometry.out_channels]);
+        conv2d_backward_weights_packed(
+            &self.geometry,
+            &self.row_panel,
+            &grad_output,
+            &mut grad_w,
+            &mut grad_b,
+            scratch,
+        );
+        self.weights.accumulate_gradients(&grad_w, &w, &epsilon, &self.config);
+        for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(grad_b.data()) {
+            *gb += g;
+        }
+
+        scratch.put_tensor(grad_b);
+        scratch.put_tensor(grad_w);
+        scratch.put_tensor(w);
+        scratch.put_f32(epsilon);
+        scratch.put_tensor(input);
+        scratch.put_tensor(grad_output);
+        Ok(grad_input)
+    }
 }
 
 impl Layer for BayesConv2d {
@@ -612,14 +736,8 @@ impl Layer for BayesConv2d {
         eps: &mut dyn EpsilonSource,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        let in_shape = input.shape();
-        if in_shape.len() != 3 || in_shape[0] != self.geometry.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                left: in_shape.to_vec(),
-                right: vec![self.geometry.in_channels, 0, 0],
-            });
-        }
-        let (oh, ow) = self.geometry.output_size(in_shape[1], in_shape[2]);
+        let (h, wd) = self.geometry.input_hw(input.shape())?;
+        let (oh, ow) = self.geometry.output_size(h, wd);
 
         let mut epsilon = scratch.take_f32(self.weights.len());
         eps.generate_block_into(&mut epsilon);
@@ -627,20 +745,35 @@ impl Layer for BayesConv2d {
         self.accumulated_complexity += self.config.kl_weight
             * self.weights.complexity_loss(&w, &epsilon, self.config.prior_sigma);
 
+        // When this input is bitwise the previous sample's, the panel already holds its
+        // im2col — the first layer's case, where every sample reads the same example.
+        let packed = sample
+            .checked_sub(1)
+            .is_some_and(|prev| self.col_sample == Some(prev) && self.caches(prev, &input));
+        if !packed {
+            self.col_panel.resize(self.geometry.panel_len(h, wd), 0.0);
+            pack_im2col(&self.geometry, input.data(), h, wd, &mut self.col_panel);
+        }
+        self.col_sample = Some(sample);
+        if self.row_sample == Some(sample) {
+            self.row_sample = None; // the claim was on the cached input this one replaces
+        }
+        cache_tensor(&mut self.cached_inputs, sample, input, scratch);
+
         let mut out = scratch.take_tensor(&[self.geometry.out_channels, oh, ow]);
-        conv2d_forward_into(&self.geometry, &input, &w, &self.bias, &mut out, scratch)?;
+        conv2d_forward_packed(&self.geometry, &self.col_panel, &w, &self.bias, &mut out, scratch)?;
         self.config.precision.quantize_tensor_inplace(&mut out);
 
         scratch.put_tensor(w);
         scratch.put_f32(epsilon);
-        cache_tensor(&mut self.cached_inputs, sample, input, scratch);
         Ok(out)
     }
 
-    /// Fused evaluation: the convolution itself stays per-sample (each sample owns a full
-    /// im2col+GEMM pass over its own sampled kernel), but inference-only calls skip the
-    /// complexity-loss sum and the input cache. Training calls defer to the split walk, which
-    /// leaves byte-identical caches for the per-sample backward stage.
+    /// Fused evaluation: the convolution itself stays per-sample (each sample runs a full
+    /// GEMM with its own sampled kernel), but the im2col panel is packed only when a
+    /// sample's slice of `stacked` differs from the previous one, and inference-only calls
+    /// skip the complexity-loss sum and the input cache. Training calls defer to the split
+    /// walk, which leaves byte-identical caches for the per-sample backward stage.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -667,22 +800,34 @@ impl Layer for BayesConv2d {
 
         let mut epsilon = scratch.take_f32(self.weights.len());
         let mut w = scratch.take_tensor(self.weights.shape());
-        let mut input_s = scratch.take_tensor(&[cin, h, w_dim]);
         let mut out_s = scratch.take_tensor(&[cout, oh, ow]);
         let mut out = scratch.take_tensor(&[samples * cout, oh, ow]);
+        // The panel will hold slices of `stacked`, which no cache slot keeps.
+        self.col_sample = None;
+        self.col_panel.resize(self.geometry.panel_len(h, w_dim), 0.0);
+        let x = stacked.data();
         for (s, source) in sources.iter_mut().take(samples).enumerate() {
             source.generate_block_into(&mut epsilon);
             self.weights.sample_into(&epsilon, self.config.precision, &mut w);
-            input_s.data_mut().copy_from_slice(&stacked.data()[s * per_in..(s + 1) * per_in]);
+            let input_s = &x[s * per_in..(s + 1) * per_in];
+            if s == 0 || !same_bits(input_s, &x[(s - 1) * per_in..s * per_in]) {
+                pack_im2col(&self.geometry, input_s, h, w_dim, &mut self.col_panel);
+            }
             // The driver overwrites every output scalar (bias prefill), so `out_s` reuse is
             // sound across samples.
-            conv2d_forward_into(&self.geometry, &input_s, &w, &self.bias, &mut out_s, scratch)?;
+            conv2d_forward_packed(
+                &self.geometry,
+                &self.col_panel,
+                &w,
+                &self.bias,
+                &mut out_s,
+                scratch,
+            )?;
             self.config.precision.quantize_tensor_inplace(&mut out_s);
             out.data_mut()[s * per_out..(s + 1) * per_out].copy_from_slice(out_s.data());
         }
 
         scratch.put_tensor(out_s);
-        scratch.put_tensor(input_s);
         scratch.put_tensor(w);
         scratch.put_f32(epsilon);
         scratch.put_tensor(stacked);
@@ -696,53 +841,28 @@ impl Layer for BayesConv2d {
         eps: &mut dyn EpsilonSource,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        let input = self.cached_inputs[sample]
-            .take()
-            .expect("backward called for a sample without a cached forward");
-        let mut epsilon = scratch.take_f32(self.weights.len());
-        eps.retrieve_block_into(&mut epsilon);
-        let w = self.sample_weights(&epsilon, scratch);
+        let grad_input = self.backward_stage(sample, grad_output, eps, scratch, true)?;
+        Ok(grad_input.expect("the input gradient was requested"))
+    }
 
-        let (h, wd) = (input.shape()[1], input.shape()[2]);
-        let mut grad_input = scratch.take_tensor(&[self.geometry.in_channels, h, wd]);
-        conv2d_backward_input_into(
-            &self.geometry,
-            &grad_output,
-            &w,
-            h,
-            wd,
-            &mut grad_input,
-            scratch,
-        )?;
-
-        let mut grad_w = scratch.take_tensor(self.weights.shape());
-        let mut grad_b = scratch.take_tensor(&[self.geometry.out_channels]);
-        conv2d_backward_weights_into(
-            &self.geometry,
-            &input,
-            &grad_output,
-            &mut grad_w,
-            &mut grad_b,
-            scratch,
-        )?;
-        self.weights.accumulate_gradients(&grad_w, &w, &epsilon, &self.config);
-        for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(grad_b.data()) {
-            *gb += g;
-        }
-
-        scratch.put_tensor(grad_b);
-        scratch.put_tensor(grad_w);
-        scratch.put_tensor(w);
-        scratch.put_f32(epsilon);
-        scratch.put_tensor(input);
-        scratch.put_tensor(grad_output);
-        Ok(grad_input)
+    /// Skips the input-gradient convolution entirely; the parameter gradients are the ones
+    /// [`Layer::backward`] accumulates, bit for bit.
+    fn backward_params(
+        &mut self,
+        sample: usize,
+        grad_output: Tensor,
+        eps: &mut dyn EpsilonSource,
+        scratch: &mut Scratch,
+    ) -> Result<(), TensorError> {
+        self.backward_stage(sample, grad_output, eps, scratch, false).map(|_| ())
     }
 
     fn begin_iteration(&mut self, samples: usize, scratch: &mut Scratch) {
         self.samples = samples.max(1);
         recycle_tensor_cache(&mut self.cached_inputs, scratch);
         resize_cache(&mut self.cached_inputs, self.samples);
+        self.col_sample = None;
+        self.row_sample = None;
         self.accumulated_complexity = 0.0;
     }
 
@@ -1114,6 +1234,146 @@ mod tests {
             layer.backward(0, Tensor::filled(&[2, 6, 6], 0.1), &mut eps, &mut scratch).unwrap();
         assert_eq!(grad_in.shape(), &[1, 6, 6]);
         assert_eq!(layer.epsilon_count(), 2 * 9);
+    }
+
+    /// The bits of a conv layer's accumulated μ, ρ and bias gradients.
+    fn gradient_bits(layer: &BayesConv2d) -> Vec<u32> {
+        let w = layer.weights();
+        let grads = w.grad_mu().data().iter().chain(w.grad_rho().data());
+        grads.chain(layer.grad_bias.data()).map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (t.shape().to_vec(), t.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// The B-LeNet proxy's first convolution (3→6 channels, 3×3, padding 1).
+    fn proxy_conv(seed: u64) -> BayesConv2d {
+        let geom =
+            ConvGeometry { in_channels: 3, out_channels: 6, kernel: 3, stride: 1, padding: 1 };
+        BayesConv2d::new(geom, BayesConfig::default(), &mut StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn conv_panel_reuse_is_bit_identical_to_fresh_passes() {
+        // A, A, B, A, then A's data as [3, 8, 18]: same length and the same 144 output pixels
+        // as [3, 12, 12], so only the shape tells the two inputs apart.
+        let fill = bnn_tensor::init::splitmix_tensor;
+        let a = fill(1, &[3, 12, 12]);
+        let mut a_wide = a.clone();
+        a_wide.reshape_in_place(&[3, 8, 18]).unwrap();
+        let inputs = [a.clone(), a.clone(), fill(2, &[3, 12, 12]), a, a_wide];
+        let source = |s: usize| LfsrRetrieve::new(50 + s as u64).unwrap();
+        let grad = |s: usize, out: &Tensor| fill(10 + s as u64, out.shape());
+        let mut scratch = Scratch::new();
+
+        // Fresh passes: each sample runs as sample 0 of its own iteration, so no panel is
+        // ever reused, and the gradients still accumulate in sample order.
+        let mut fresh = proxy_conv(6);
+        let mut want = Vec::new();
+        for (s, input) in inputs.iter().enumerate() {
+            fresh.begin_iteration(inputs.len(), &mut scratch);
+            let mut eps = source(s);
+            let out = fresh.forward(0, input.clone(), &mut eps, &mut scratch).unwrap();
+            let grad_in = fresh.backward(0, grad(s, &out), &mut eps, &mut scratch).unwrap();
+            want.push((bits(&out), bits(&grad_in)));
+        }
+
+        for params_only in [false, true] {
+            let mut layer = proxy_conv(6);
+            let mut sources: Vec<LfsrRetrieve> = (0..inputs.len()).map(source).collect();
+            layer.begin_iteration(inputs.len(), &mut scratch);
+            let mut outs = Vec::new();
+            for (s, (input, eps)) in inputs.iter().zip(&mut sources).enumerate() {
+                outs.push(layer.forward(s, input.clone(), eps, &mut scratch).unwrap());
+            }
+            for (s, (out, eps)) in outs.iter().zip(&mut sources).enumerate() {
+                assert_eq!(bits(out), want[s].0, "sample {s} output");
+                if params_only {
+                    layer.backward_params(s, grad(s, out), eps, &mut scratch).unwrap();
+                } else {
+                    let grad_in = layer.backward(s, grad(s, out), eps, &mut scratch).unwrap();
+                    assert_eq!(bits(&grad_in), want[s].1, "sample {s} input gradient");
+                }
+            }
+            assert_eq!(gradient_bits(&layer), gradient_bits(&fresh), "params_only {params_only}");
+        }
+
+        // The inference-only fused walk compares neighbouring slices of its stacked input.
+        let mut layer = proxy_conv(6);
+        let mut stacked = scratch.take_tensor(&[4 * 3, 12, 12]);
+        for (s, input) in inputs[..4].iter().enumerate() {
+            stacked.data_mut()[s * input.len()..(s + 1) * input.len()]
+                .copy_from_slice(input.data());
+        }
+        let mut sources: Vec<Box<dyn EpsilonSource>> =
+            (0..4).map(|s| Box::new(source(s)) as Box<dyn EpsilonSource>).collect();
+        layer.begin_iteration(4, &mut scratch);
+        let out = layer.forward_all(stacked, 4, &mut sources, false, &mut scratch).unwrap();
+        let per = out.len() / 4;
+        for (s, (_, want_bits)) in want[..4].iter().map(|w| &w.0).enumerate() {
+            let got: Vec<u32> =
+                out.data()[s * per..(s + 1) * per].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(&got, want_bits, "fused sample {s}");
+        }
+    }
+
+    #[test]
+    fn conv_panel_claims_end_with_the_cache_slot_they_name() {
+        let fill = bnn_tensor::init::splitmix_tensor;
+        let (a, b) = (fill(1, &[3, 12, 12]), fill(2, &[3, 12, 12]));
+        let mut layer = proxy_conv(7);
+        let mut sources = [LfsrRetrieve::new(60).unwrap(), LfsrRetrieve::new(61).unwrap()];
+        let mut scratch = Scratch::new();
+        layer.begin_iteration(2, &mut scratch);
+        let out = layer.forward(0, a.clone(), &mut sources[0], &mut scratch).unwrap();
+        layer.forward(1, a, &mut sources[1], &mut scratch).unwrap();
+        layer.backward(0, out, &mut sources[0], &mut scratch).unwrap();
+        assert_eq!((layer.col_sample, layer.row_sample), (Some(1), Some(1)));
+        // A new iteration empties every cache slot, so no claim survives it.
+        layer.begin_iteration(2, &mut scratch);
+        assert_eq!((layer.col_sample, layer.row_sample), (None, None));
+        // Within an iteration, a forward that replaces the claimed input voids the claim.
+        let out = layer.forward(0, b.clone(), &mut sources[0], &mut scratch).unwrap();
+        layer.forward(1, b, &mut sources[1], &mut scratch).unwrap();
+        layer.backward(0, out, &mut sources[0], &mut scratch).unwrap();
+        assert_eq!(layer.row_sample, Some(1));
+        layer.forward(1, fill(3, &[3, 12, 12]), &mut sources[1], &mut scratch).unwrap();
+        assert_eq!(layer.row_sample, None);
+    }
+
+    #[test]
+    fn conv_backward_checks_the_gradient_before_touching_state() {
+        // A rejected gradient must leave the cached input and the ε source untouched, so the
+        // corrected retry matches a layer that never saw the bad call.
+        let geom =
+            ConvGeometry { in_channels: 1, out_channels: 2, kernel: 3, stride: 1, padding: 1 };
+        let input = bnn_tensor::init::splitmix_tensor(3, &[1, 6, 6]);
+        let grad = bnn_tensor::init::splitmix_tensor(4, &[2, 6, 6]);
+        for params_only in [false, true] {
+            let run = |bad_first: bool| {
+                let mut rng = StdRng::seed_from_u64(2);
+                let mut layer = BayesConv2d::new(geom, BayesConfig::default(), &mut rng);
+                let mut eps = eps_source();
+                let mut scratch = Scratch::new();
+                layer.begin_iteration(1, &mut scratch);
+                layer.forward(0, input.clone(), &mut eps, &mut scratch).unwrap();
+                let mut call = |g: Tensor| {
+                    if params_only {
+                        layer.backward_params(0, g, &mut eps, &mut scratch).map(|()| None)
+                    } else {
+                        layer.backward(0, g, &mut eps, &mut scratch).map(|gi| Some(bits(&gi)))
+                    }
+                };
+                if bad_first {
+                    let err = call(Tensor::filled(&[2, 5, 5], 0.1));
+                    assert!(matches!(err, Err(TensorError::ShapeMismatch { .. })), "{err:?}");
+                }
+                let grad_in = call(grad.clone()).unwrap();
+                (grad_in, gradient_bits(&layer))
+            };
+            assert_eq!(run(true), run(false), "params_only {params_only}");
+        }
     }
 
     #[test]

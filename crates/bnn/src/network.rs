@@ -130,7 +130,10 @@ impl Network {
         Ok(x)
     }
 
-    /// Backward pass of one sampled model (layers traversed in reverse order, retrieving ε).
+    /// Backward pass of one sampled model (layers traversed in reverse order, retrieving ε),
+    /// accumulating every layer's parameter gradients. Nothing reads the gradient w.r.t.
+    /// the network input, so the first layer runs [`Layer::backward_params`], which does not
+    /// compute it.
     ///
     /// # Errors
     ///
@@ -140,12 +143,16 @@ impl Network {
         sample: usize,
         grad_output: &Tensor,
         eps: &mut dyn EpsilonSource,
-    ) -> Result<Tensor, TensorError> {
+    ) -> Result<(), TensorError> {
         let mut g = self.scratch.take_tensor_copy(grad_output);
-        for layer in self.layers.iter_mut().rev() {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            self.scratch.put_tensor(g);
+            return Ok(());
+        };
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(sample, g, eps, &mut self.scratch)?;
         }
-        Ok(g)
+        first.backward_params(sample, g, eps, &mut self.scratch)
     }
 
     /// Returns a tensor that escaped the network (a forward output, a final gradient) to the

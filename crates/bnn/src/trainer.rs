@@ -288,12 +288,11 @@ impl Trainer {
         }
 
         // Backward + gradient-calculation stages, sample by sample, retrieving ε. The loss
-        // gradients and the returned input gradients both recycle into the network's arena.
+        // gradients recycle into the network's arena.
         for (s, (source, grad)) in
             self.sources.iter_mut().zip(self.grad_store.drain(..)).enumerate()
         {
-            let grad_image = self.network.backward_sample(s, &grad, source.as_mut())?;
-            self.network.recycle(grad_image);
+            self.network.backward_sample(s, &grad, source.as_mut())?;
             self.network.recycle(grad);
             source.reset_iteration();
         }

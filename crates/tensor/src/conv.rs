@@ -42,6 +42,27 @@ impl ConvGeometry {
     pub fn weight_count(&self) -> usize {
         self.out_channels * self.in_channels * self.kernel * self.kernel
     }
+
+    /// The spatial size `(H, W)` of an input of shape `[N, H, W]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `shape` is rank 3 with `N` channels.
+    pub fn input_hw(&self, shape: &[usize]) -> Result<(usize, usize), TensorError> {
+        match *shape {
+            [n, h, w] if n == self.in_channels => Ok((h, w)),
+            _ => Err(TensorError::ShapeMismatch {
+                left: shape.to_vec(),
+                right: vec![self.in_channels, 0, 0],
+            }),
+        }
+    }
+
+    /// Length of the im2col (or im2row) panel of an `h × w` input: `N·K·K · OH·OW`.
+    pub fn panel_len(&self, h: usize, w: usize) -> usize {
+        let (oh, ow) = self.output_size(h, w);
+        self.in_channels * self.kernel * self.kernel * oh * ow
+    }
 }
 
 pub(crate) fn expect_shape(t: &Tensor, shape: &[usize]) -> Result<(), TensorError> {

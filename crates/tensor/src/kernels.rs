@@ -34,7 +34,8 @@
 //!   LLVM autovectorizes the inner loops reliably. Because every output scalar still owns
 //!   exactly one running sum whose k-terms are added in ascending order, `Simd` is
 //!   `to_bits()`-identical to `Reference` — the tile only removes the per-k C memory traffic
-//!   the blocked kernel pays. This is the default tier.
+//!   the blocked kernel pays. Column tails narrower than the tile run through the same tile
+//!   over a zero-padded copy of B's tail. This is the default tier.
 //! * [`KernelTier::FastMath`] — an explicitly-labeled tier that splits the k-accumulation
 //!   into even/odd partial sums (combined once at the end). Reordering the additions breaks
 //!   bit-exactness, so this tier is **never** a default anywhere and is pinned by ULP/forward
@@ -244,43 +245,78 @@ pub fn gemm_reference(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n
     }
 }
 
-/// One `ROWS × NR` register tile of the SIMD kernel: accumulators are **loaded from C**, the
-/// k-loop adds terms in ascending order, and the tile is stored back once — so every scalar's
-/// addition order is exactly the reference order, while C traffic drops from `2·k` accesses
-/// per scalar (the blocked kernel's `t[j] +=` form) to one load and one store. The fixed-size
-/// `[f32; NR]` rows are what lets LLVM keep the tile in vector registers.
+/// Depth of one k-chunk of the [`KernelTier::Simd`] column-tail panel: the last `n mod 16`
+/// columns of B are copied, zero-padded to the full tile width, into a `TAIL_KC × 16` stack
+/// panel one chunk at a time.
+pub const TAIL_KC: usize = 64;
+
+/// One `ROWS × NR` register tile of the SIMD kernel over `kc` k-terms. `c`, `a` and `b` start
+/// at the tile's first element; rows of C and A are `ldc` and `lda` apart, and B's k-rows
+/// `ldb` apart, each at least `NR` wide. Accumulators are **loaded from C** (its first
+/// `width` lanes), the k-loop adds terms in ascending order, and the `width` lanes are stored
+/// back once — so every scalar's addition order is exactly the reference order, while C
+/// traffic drops from `2·k` accesses per scalar (the blocked kernel's `t[j] +=` form) to one
+/// load and one store. The fixed-size `[f32; NR]` rows are what lets LLVM keep the tile in
+/// vector registers; lanes past `width` compute on B's zero padding and are never stored.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn simd_tile<const ROWS: usize>(
     c: &mut [f32],
+    ldc: usize,
+    width: usize,
     a: &[f32],
+    lda: usize,
     b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
+    ldb: usize,
+    kc: usize,
 ) {
     let mut acc = [[0.0f32; NR]; ROWS];
     for (r, row) in acc.iter_mut().enumerate() {
-        let src: &[f32; NR] = c[(i0 + r) * n + j0..][..NR].try_into().unwrap();
-        *row = *src;
+        row[..width].copy_from_slice(&c[r * ldc..][..width]);
     }
-    for p in 0..k {
-        let brow: &[f32; NR] = b[p * n + j0..][..NR].try_into().unwrap();
+    for q in 0..kc {
+        let brow: &[f32; NR] = b[q * ldb..][..NR].try_into().unwrap();
         for (r, row) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + r) * k + p];
+            let av = a[r * lda + q];
             for (lane, &bv) in row.iter_mut().zip(brow) {
                 *lane += av * bv;
             }
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        c[(i0 + r) * n + j0..][..NR].copy_from_slice(row);
+        c[r * ldc..][..width].copy_from_slice(&row[..width]);
     }
 }
 
-/// Scalar fallback for a column strip narrower than [`NR`]; per-scalar order is still the
-/// reference k-ascending order, so the strip is bit-identical no matter which tier ran the
-/// full-width tiles next to it.
+/// Runs [`simd_tile`] down all `m` rows of one column block: `MR`-row tiles, then single-row
+/// tiles for the remainder. `c` starts at the block's first column and `a` at its first
+/// k-term; `ldc`/`lda`/`ldb` are as in [`simd_tile`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn simd_block(
+    c: &mut [f32],
+    ldc: usize,
+    width: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    m: usize,
+    kc: usize,
+) {
+    let mut i = 0;
+    while i + MR <= m {
+        simd_tile::<MR>(&mut c[i * ldc..], ldc, width, &a[i * lda..], lda, b, ldb, kc);
+        i += MR;
+    }
+    while i < m {
+        simd_tile::<1>(&mut c[i * ldc..], ldc, width, &a[i * lda..], lda, b, ldb, kc);
+        i += 1;
+    }
+}
+
+/// Scalar fallback for the FastMath tier's column strip narrower than [`NR`]; per-scalar
+/// order is still the reference k-ascending order.
 fn gemm_scalar_strip(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, j0: usize) {
     let nb = n - j0;
     for i in 0..m {
@@ -298,23 +334,35 @@ fn gemm_scalar_strip(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
 /// Tile sweep shared by both [`gemm_simd`] entry paths. `#[inline(always)]` so that the
 /// AVX2 wrapper recompiles the whole sweep — tiles included — under its wider target
 /// features instead of calling back into baseline code.
+///
+/// The last `width = n mod NR` columns run through the same tiles over a zero-padded copy
+/// of B's tail columns, built once per [`TAIL_KC`]-deep k-chunk in a stack panel. Each chunk
+/// stores its partial sums back to C and the next reloads them; an f32 store and reload is
+/// exact, so every scalar still adds its k-terms in ascending order, starting from C.
 #[inline(always)]
 fn gemm_simd_body(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let mut j0 = 0;
     while j0 + NR <= n {
-        let mut i = 0;
-        while i + MR <= m {
-            simd_tile::<MR>(c, a, b, k, n, i, j0);
-            i += MR;
-        }
-        while i < m {
-            simd_tile::<1>(c, a, b, k, n, i, j0);
-            i += 1;
-        }
+        // With m = 0 or k = 0, C or B is empty and no tile touches it. (Returning early on
+        // an empty operand instead measured about 25% slower on full-width shapes.)
+        let c_block = c.get_mut(j0..).unwrap_or_default();
+        let b_block = b.get(j0..).unwrap_or_default();
+        simd_block(c_block, n, NR, a, k, b_block, n, m, k);
         j0 += NR;
     }
-    if j0 < n {
-        gemm_scalar_strip(c, a, b, m, k, n, j0);
+    let width = n - j0;
+    if width == 0 || m == 0 {
+        return;
+    }
+    let mut panel = [[0.0f32; NR]; TAIL_KC];
+    let mut p0 = 0;
+    while p0 < k {
+        let kc = TAIL_KC.min(k - p0);
+        for (q, row) in panel[..kc].iter_mut().enumerate() {
+            row[..width].copy_from_slice(&b[(p0 + q) * n + j0..][..width]);
+        }
+        simd_block(&mut c[j0..], n, width, &a[p0..], k, panel.as_flattened(), NR, m, kc);
+        p0 += kc;
     }
 }
 
@@ -348,9 +396,10 @@ fn fma_available() -> bool {
 
 /// The [`KernelTier::Simd`] GEMM: full-width columns go through the register tile
 /// (`simd_tile`), remainder rows through the same tile at `ROWS = 1`, remainder columns
-/// through the scalar strip. All paths add every scalar's k-terms in ascending order into
-/// one accumulator, so the result is `to_bits()`-identical to [`gemm_reference`] — on the
-/// AVX2 fast path exactly as on the portable one (see `gemm_simd_avx2`).
+/// through the same tiles over a zero-padded panel of B's tail (see `gemm_simd_body`). All
+/// paths add every scalar's k-terms in ascending order into one accumulator, so the result
+/// is `to_bits()`-identical to [`gemm_reference`] — on the AVX2 fast path exactly as on the
+/// portable one (see `gemm_simd_avx2`).
 pub fn gemm_simd(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
@@ -690,24 +739,18 @@ fn outputs_in_bounds(
     (lo, hi.max(lo))
 }
 
-/// Packs `input` (`[N, H, W]`) into the im2col matrix `[N·K·K, OH·OW]`: row `(ic, ky, kx)`,
-/// column `(oy, ox)`, out-of-bounds taps as `0.0`. Row order `(ic, ky, kx)` is exactly the
-/// accumulation order of the reference forward loop. A row's in-bounds outputs form one
-/// range per axis ([`outputs_in_bounds`]), so each row segment is a zero fill, one copy
-/// (a slice copy at unit stride) and a zero fill instead of a bounds check per element.
-#[allow(clippy::too_many_arguments)]
-fn pack_im2col(
-    col: &mut [f32],
-    input: &[f32],
-    n: usize,
-    h: usize,
-    w: usize,
-    geom: &ConvGeometry,
-    oh: usize,
-    ow: usize,
-) {
-    let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+/// Packs `input` (`[N, H, W]` data) into the im2col matrix `[N·K·K, OH·OW]` — the B panel
+/// of [`conv2d_forward_packed`]: row `(ic, ky, kx)`, column `(oy, ox)`, out-of-bounds taps
+/// as `0.0`. Row order `(ic, ky, kx)` is exactly the accumulation order of the reference
+/// forward loop. A row's in-bounds outputs form one range per axis (`outputs_in_bounds`),
+/// so each row segment is a zero fill, one copy (a slice copy at unit stride) and a zero
+/// fill instead of a bounds check per element. `col` holds
+/// [`ConvGeometry::panel_len`] floats.
+pub fn pack_im2col(geom: &ConvGeometry, input: &[f32], h: usize, w: usize, col: &mut [f32]) {
+    let (n, k, stride, pad) = (geom.in_channels, geom.kernel, geom.stride, geom.padding);
+    let (oh, ow) = geom.output_size(h, w);
     let cols = oh * ow;
+    debug_assert_eq!(input.len(), n * h * w);
     debug_assert_eq!(col.len(), n * k * k * cols);
     for ic in 0..n {
         let plane = &input[ic * h * w..(ic + 1) * h * w];
@@ -742,23 +785,16 @@ fn pack_im2col(
     }
 }
 
-/// Packs `input` into the im2row matrix `[OH·OW, N·K·K]` (one contiguous patch per output
-/// pixel) — the transpose of [`pack_im2col`], used as the GEMM `B` operand of the weight
-/// gradient so its k-dimension enumerates output pixels in raster order.
-#[allow(clippy::too_many_arguments)]
-fn pack_im2row(
-    row_mat: &mut [f32],
-    input: &[f32],
-    n: usize,
-    h: usize,
-    w: usize,
-    geom: &ConvGeometry,
-    oh: usize,
-    ow: usize,
-) {
-    let k = geom.kernel;
+/// Packs `input` (`[N, H, W]` data) into the im2row matrix `[OH·OW, N·K·K]` (one contiguous
+/// patch per output pixel) — the transpose of [`pack_im2col`], the B panel of
+/// [`conv2d_backward_weights_packed`], so the weight gradient's k-dimension enumerates output
+/// pixels in raster order. `row_mat` holds [`ConvGeometry::panel_len`] floats.
+pub fn pack_im2row(geom: &ConvGeometry, input: &[f32], h: usize, w: usize, row_mat: &mut [f32]) {
+    let (n, k) = (geom.in_channels, geom.kernel);
     let (stride, pad) = (geom.stride as isize, geom.padding as isize);
+    let (oh, ow) = geom.output_size(h, w);
     let patch = n * k * k;
+    debug_assert_eq!(input.len(), n * h * w);
     debug_assert_eq!(row_mat.len(), oh * ow * patch);
     for oy in 0..oh {
         for ox in 0..ow {
@@ -786,8 +822,8 @@ fn pack_im2row(
 }
 
 /// Forward convolution into a caller-provided output tensor (shape `[M, OH, OW]`, any prior
-/// contents overwritten), via im2col packing and the blocked GEMM. Bit-identical to
-/// [`crate::conv::reference::conv2d_forward`].
+/// contents overwritten): [`pack_im2col`] into a scratch panel, then
+/// [`conv2d_forward_packed`]. Bit-identical to [`crate::conv::reference::conv2d_forward`].
 ///
 /// # Errors
 ///
@@ -800,21 +836,36 @@ pub fn conv2d_forward_into(
     out: &mut Tensor,
     scratch: &mut Scratch,
 ) -> Result<(), TensorError> {
+    let (h, w) = geom.input_hw(input.shape())?;
+    let mut col = scratch.take_f32(geom.panel_len(h, w));
+    pack_im2col(geom, input.data(), h, w, &mut col);
+    let result = conv2d_forward_packed(geom, &col, weights, bias, out, scratch);
+    scratch.put_f32(col);
+    result
+}
+
+/// The forward GEMM over an im2col panel from [`pack_im2col`]: seeds every output scalar of
+/// `out` (`[M, OH, OW]`, any prior contents overwritten) with its channel bias and adds
+/// `weights · col`. A caller whose input repeats packs it once and calls this per kernel.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `weights` or `bias` does not match `geom`.
+pub fn conv2d_forward_packed(
+    geom: &ConvGeometry,
+    col: &[f32],
+    weights: &Tensor,
+    bias: &Tensor,
+    out: &mut Tensor,
+    scratch: &mut Scratch,
+) -> Result<(), TensorError> {
     let (n, m, k) = (geom.in_channels, geom.out_channels, geom.kernel);
-    let in_shape = input.shape();
-    if in_shape.len() != 3 || in_shape[0] != n {
-        return Err(TensorError::ShapeMismatch { left: in_shape.to_vec(), right: vec![n, 0, 0] });
-    }
-    let (h, w) = (in_shape[1], in_shape[2]);
     expect_shape(weights, &[m, n, k, k])?;
     expect_shape(bias, &[m])?;
-    let (oh, ow) = geom.output_size(h, w);
-    debug_assert_eq!(out.shape(), &[m, oh, ow]);
-
-    let cols = oh * ow;
     let kk = n * k * k;
-    let mut col = scratch.take_f32(kk * cols);
-    pack_im2col(&mut col, input.data(), n, h, w, geom, oh, ow);
+    let cols = out.len() / m;
+    debug_assert_eq!(out.shape()[0], m);
+    debug_assert_eq!(col.len(), kk * cols);
 
     // Seed every output scalar with its channel bias — the reference loop starts `acc = b`.
     let out_d = out.data_mut();
@@ -822,8 +873,7 @@ pub fn conv2d_forward_into(
         out_d[om * cols..(om + 1) * cols].fill(bias.data()[om]);
     }
     // Weights are already `[M, (ic, ky, kx)]` row-major: the GEMM A operand needs no packing.
-    gemm_accumulate_tiered(scratch.kernel(), out_d, weights.data(), &col, m, kk, cols);
-    scratch.put_f32(col);
+    gemm_accumulate_tiered(scratch.kernel(), out_d, weights.data(), col, m, kk, cols);
     Ok(())
 }
 
@@ -905,7 +955,7 @@ pub fn conv2d_backward_input_into(
         ConvGeometry { in_channels: m, out_channels: n, kernel: k, stride: 1, padding: 0 };
     let cols = input_h * input_w;
     let mut col = scratch.take_f32(kk * cols);
-    pack_im2col(&mut col, &dilated, m, dh, dw, &dil_geom, input_h, input_w);
+    pack_im2col(&dil_geom, &dilated, dh, dw, &mut col);
 
     let gi = grad_in.data_mut();
     gi.fill(0.0);
@@ -917,9 +967,9 @@ pub fn conv2d_backward_input_into(
     Ok(())
 }
 
-/// Weight/bias-gradient convolution into caller-provided `[M, N, K, K]` / `[M]` tensors,
-/// bit-identical to [`crate::conv::reference::conv2d_backward_weights`]: the GEMM k-dimension
-/// enumerates output pixels in raster order, matching the reference's `(oy, ox)` accumulation.
+/// Weight/bias-gradient convolution into caller-provided `[M, N, K, K]` / `[M]` tensors:
+/// [`pack_im2row`] into a scratch panel, then [`conv2d_backward_weights_packed`].
+/// Bit-identical to [`crate::conv::reference::conv2d_backward_weights`].
 ///
 /// # Errors
 ///
@@ -932,21 +982,35 @@ pub fn conv2d_backward_weights_into(
     grad_b: &mut Tensor,
     scratch: &mut Scratch,
 ) -> Result<(), TensorError> {
-    let (n, m, k) = (geom.in_channels, geom.out_channels, geom.kernel);
-    let in_shape = input.shape();
-    if in_shape.len() != 3 || in_shape[0] != n {
-        return Err(TensorError::ShapeMismatch { left: in_shape.to_vec(), right: vec![n, 0, 0] });
-    }
-    let (h, w) = (in_shape[1], in_shape[2]);
+    let (h, w) = geom.input_hw(input.shape())?;
     let (oh, ow) = geom.output_size(h, w);
-    expect_shape(grad_output, &[m, oh, ow])?;
+    expect_shape(grad_output, &[geom.out_channels, oh, ow])?;
+    let mut rows = scratch.take_f32(geom.panel_len(h, w));
+    pack_im2row(geom, input.data(), h, w, &mut rows);
+    conv2d_backward_weights_packed(geom, &rows, grad_output, grad_w, grad_b, scratch);
+    scratch.put_f32(rows);
+    Ok(())
+}
+
+/// The weight/bias-gradient GEMM over an im2row panel from [`pack_im2row`], for a
+/// `grad_output` of shape `[M, OH, OW]` matching the packed input: the GEMM k-dimension
+/// enumerates output pixels in raster order, matching the reference's `(oy, ox)`
+/// accumulation. A caller whose input repeats packs it once and calls this per gradient.
+pub fn conv2d_backward_weights_packed(
+    geom: &ConvGeometry,
+    rows: &[f32],
+    grad_output: &Tensor,
+    grad_w: &mut Tensor,
+    grad_b: &mut Tensor,
+    scratch: &mut Scratch,
+) {
+    let (n, m, k) = (geom.in_channels, geom.out_channels, geom.kernel);
+    let patch = n * k * k;
+    let pixels = grad_output.len() / m;
+    debug_assert_eq!(grad_output.shape()[0], m);
+    debug_assert_eq!(rows.len(), pixels * patch);
     debug_assert_eq!(grad_w.shape(), &[m, n, k, k]);
     debug_assert_eq!(grad_b.shape(), &[m]);
-
-    let pixels = oh * ow;
-    let patch = n * k * k;
-    let mut rows = scratch.take_f32(pixels * patch);
-    pack_im2row(&mut rows, input.data(), n, h, w, geom, oh, ow);
 
     let go = grad_output.data();
     let gb = grad_b.data_mut();
@@ -960,9 +1024,7 @@ pub fn conv2d_backward_weights_into(
 
     let gw = grad_w.data_mut();
     gw.fill(0.0);
-    gemm_accumulate_tiered(scratch.kernel(), gw, go, &rows, m, pixels, patch);
-    scratch.put_f32(rows);
-    Ok(())
+    gemm_accumulate_tiered(scratch.kernel(), gw, go, rows, m, pixels, patch);
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use bnn_tensor::conv::{reference, ConvGeometry};
 use bnn_tensor::init::splitmix_tensor as fill;
 use bnn_tensor::kernels::{
     conv2d_forward_into, fused_linear_accumulate, gemm_accumulate_tiered, KernelConfig, KernelTier,
+    TAIL_KC,
 };
 use bnn_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
@@ -47,11 +48,12 @@ proptest! {
     /// `Blocked` and `Simd` accumulate every output scalar's k-terms in the reference order,
     /// so they are bit-identical to `Reference` for arbitrary shapes — including C seeded
     /// with non-zero values (the bias-prefill pattern of the conv driver), column remainders
-    /// narrower than the SIMD tile, and row remainders shorter than the register tile.
+    /// narrower than the SIMD tile, row remainders shorter than the register tile, and
+    /// depths that cross the column-tail panel's k-chunks.
     #[test]
     fn bit_exact_tiers_match_reference_bitwise(
         m in 1usize..14,
-        k in 1usize..40,
+        k in 1usize..(2 * TAIL_KC + 8),
         n in 1usize..300,
         seed in 0u64..u64::MAX,
     ) {
@@ -207,6 +209,50 @@ proptest! {
                     acc.to_bits(),
                     "sample {} output {}", s, o,
                 );
+            }
+        }
+    }
+}
+
+/// Every column tail of the `Simd` tier against `Reference`, bit for bit: each tail width
+/// `w` in 1..=15 at n ∈ {w, 16 + w, 32 + w}, row counts on both sides of the 4-row tile, and
+/// depths on both sides of the tail panel's k-chunk — with C pre-seeded, so a tail that
+/// stores its padding lanes, drops a chunk's partial sums or reads the wrong B column fails.
+#[test]
+fn simd_column_tails_match_reference_bitwise() {
+    for w in 1..16usize {
+        for n in [w, 16 + w, 32 + w] {
+            for m in [1usize, 2, 3, 4, 5, 6, 16] {
+                for k in [1, TAIL_KC - 1, TAIL_KC, TAIL_KC + 1] {
+                    let seed = (((w * 64 + n) * 32 + m) * 256 + k) as u64;
+                    let a = fill(seed, &[m, k]);
+                    let b = fill(seed ^ 0x5A5A, &[k, n]);
+                    let c0 = fill(seed ^ 0xC3C3, &[m, n]);
+                    let (a, b, c0) = (a.data(), b.data(), c0.data());
+                    let want =
+                        run_gemm(KernelConfig::with_tier(KernelTier::Reference), c0, a, b, m, k, n);
+                    let got =
+                        run_gemm(KernelConfig::with_tier(KernelTier::Simd), c0, a, b, m, k, n);
+                    for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), r.to_bits(), "m {m} k {k} n {n}: [{i}] {g} vs {r}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Empty operands leave C as it is under every tier, on both sides of the tile width and of
+/// the tail panel's k-chunk.
+#[test]
+fn empty_operands_leave_c_unchanged() {
+    for (m, k) in [(0, 0), (0, TAIL_KC + 1), (3, 0)] {
+        for n in [0usize, 5, 16, 21] {
+            let (a, b) = (vec![0.5f32; m * k], vec![0.25f32; k * n]);
+            let c0: Vec<f32> = (0..m * n).map(|i| i as f32).collect();
+            for tier in KernelTier::ALL {
+                let got = run_gemm(KernelConfig::with_tier(tier), &c0, &a, &b, m, k, n);
+                assert_eq!(got, c0, "{} at m {m} k {k} n {n}", tier.label());
             }
         }
     }
