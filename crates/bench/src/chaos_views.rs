@@ -24,6 +24,7 @@
 //!   hot-swap on shard 2 cancelled by checkpoint corruption, and a surviving hot-swap on
 //!   shard 3 — the everything-at-once arm pinned tick-for-tick by the chaos golden test.
 
+use bnn_obs::NullRecorder;
 use bnn_serve::{
     ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterRunReport, DegradeLadder,
     FaultEvent, FaultPlan, InferRequest, ModelSource, ModelSpec, RetryPolicy, RoutingPolicy,
@@ -225,8 +226,9 @@ pub fn run_chaos_grid(reduced: bool, workers: usize) -> Vec<(ChaosConfig, Cluste
         .map(|config| {
             let trace = chaos_trace(config.arrival, requests);
             let cluster = Cluster::new(chaos_cluster_config(workers));
+            let scenario = &config.scenario;
             let report =
-                cluster.run_with_faults(&trace, &config.scenario.swaps, &config.scenario.faults);
+                cluster.run_traced(&trace, &scenario.swaps, &scenario.faults, &mut NullRecorder);
             (config, report)
         })
         .collect()

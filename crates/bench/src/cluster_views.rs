@@ -11,13 +11,15 @@
 //!
 //! * the **executed grid** — routing policy × arrival process on a 4-shard B-MLP cluster,
 //!   every request answered by real engines (responses digested into the summary);
-//! * the **stress arm** — 250 000-request traces driven through [`Cluster::plan`] (phase A
-//!   only, no inference), where p999 becomes a meaningful tail statistic and autoscaling
-//!   has room to both activate and drain.
+//! * the **stress arm** — 250 000-request traces driven through
+//!   [`Cluster::plan_with_faults`] (phase A only, no inference), where p999 becomes a
+//!   meaningful tail statistic and autoscaling has room to both activate and drain.
 
+use bnn_obs::NullRecorder;
 use bnn_serve::{
     ArrivalProcess, AutoscalePolicy, BatchPolicy, Cluster, ClusterConfig, ClusterPlan,
-    ClusterRunReport, InferRequest, ModelSource, ModelSpec, RoutingPolicy, ServeMode, WorkloadSpec,
+    ClusterRunReport, FaultPlan, InferRequest, ModelSource, ModelSpec, RoutingPolicy, ServeMode,
+    WorkloadSpec,
 };
 use shift_bnn::sweep::json::Json;
 
@@ -144,7 +146,8 @@ pub fn run_cluster_grid(
         .into_iter()
         .map(|config| {
             let trace = grid_trace(config.arrival, requests);
-            let report = Cluster::new(bench_cluster_config(config.routing, workers)).run(&trace);
+            let cluster = Cluster::new(bench_cluster_config(config.routing, workers));
+            let report = cluster.run_traced(&trace, &[], &FaultPlan::none(), &mut NullRecorder);
             (config, report)
         })
         .collect()
@@ -199,7 +202,8 @@ pub fn run_cluster_stress(reduced: bool) -> Vec<(StressConfig, ClusterPlan)> {
             .generate_for_shape(&[1]);
             let mut cluster_config = bench_cluster_config(config.routing, 1);
             cluster_config.autoscale = Some(autoscale);
-            let plan = Cluster::new(cluster_config).plan(&trace);
+            let plan =
+                Cluster::new(cluster_config).plan_with_faults(&trace, &[], &FaultPlan::none());
             (config, plan)
         })
         .collect()
@@ -357,7 +361,7 @@ mod tests {
         .generate_for_shape(&[1]);
         let mut config = bench_cluster_config(RoutingPolicy::LeastLoaded, 1);
         config.autoscale = Some(autoscale);
-        let plan = Cluster::new(config).plan(&trace);
+        let plan = Cluster::new(config).plan_with_faults(&trace, &[], &FaultPlan::none());
         assert_eq!(plan.outcomes.len(), 4000);
         assert!(plan.latency_percentile(0.999) >= plan.latency_percentile(0.50));
     }

@@ -26,7 +26,8 @@
 //! argument is about.
 
 use bnn_obs::{
-    assemble_traces, export, percentile, Event, Registry, StageBreakdown, TraceRecorder, STAGES,
+    assemble_traces, export, percentile, Event, NullRecorder, Registry, StageBreakdown,
+    TraceRecorder, STAGES,
 };
 use bnn_serve::{
     ArrivalProcess, Cluster, ClusterConfig, ClusterRunReport, EngineSpec, FaultPlan, InferRequest,
@@ -126,7 +127,8 @@ pub fn run_obs_grid(reduced: bool, workers: usize) -> Vec<ObsRun> {
         .map(|config| {
             let trace = obs_trace(config.arrival, requests);
             let cluster = Cluster::new(config.cluster.clone());
-            let untraced = cluster.run_with_faults(&trace, &config.swaps, &config.faults);
+            let untraced =
+                cluster.run_traced(&trace, &config.swaps, &config.faults, &mut NullRecorder);
             let mut rec = TraceRecorder::new();
             let report = cluster.run_traced(&trace, &config.swaps, &config.faults, &mut rec);
             let key = format!("{} x {}", config.scenario, config.arrival.label());

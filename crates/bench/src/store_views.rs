@@ -13,8 +13,10 @@
 
 use bnn_models::zoo::TrainableProxy;
 use bnn_models::ModelKind;
+use bnn_obs::NullRecorder;
 use bnn_serve::{
-    BatchPolicy, InferenceEngine, ModelSource, ServeRunReport, VersionSwap, WorkloadSpec,
+    BatchPolicy, EngineSpec, InferenceEngine, ModelSource, ServeRunReport, VersionSwap,
+    WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -224,8 +226,11 @@ fn bench_family(registry: &ModelRegistry, kind: ModelKind, reps: usize) -> Store
         )
         .expect("validated checkpoint"),
     );
-    let memory_run = InferenceEngine::from_source(in_memory, policy, 1).run(&trace);
-    let disk_run = InferenceEngine::from_source(v1_source.clone(), policy, 2).run(&trace);
+    let engine = |source: ModelSource, workers: usize| {
+        InferenceEngine::build(EngineSpec::new(source).policy(policy).workers(workers))
+    };
+    let memory_run = engine(in_memory, 1).run(&trace);
+    let disk_run = engine(v1_source.clone(), 2).run(&trace);
     assert_eq!(
         memory_run.responses_json(),
         disk_run.responses_json(),
@@ -234,14 +239,14 @@ fn bench_family(registry: &ModelRegistry, kind: ModelKind, reps: usize) -> Store
 
     let swaps = [VersionSwap { at_tick: STORE_SWAP_TICK, source: v2_source.clone() }];
     let swapped: ServeRunReport =
-        InferenceEngine::from_source(v1_source.clone(), policy, 2).run_with_swaps(&trace, &swaps);
+        engine(v1_source.clone(), 2).run_traced(&trace, &swaps, &mut NullRecorder);
     let boundary = swapped
         .batches
         .iter()
         .find(|b| b.version == 1)
         .expect("the swap must land within the store trace");
-    let v1_run = InferenceEngine::from_source(v1_source, policy, 2).run(&trace);
-    let v2_run = InferenceEngine::from_source(v2_source, policy, 2).run(&trace);
+    let v1_run = engine(v1_source, 2).run(&trace);
+    let v2_run = engine(v2_source, 2).run(&trace);
 
     StoreBenchResult {
         name,

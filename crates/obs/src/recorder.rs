@@ -26,9 +26,9 @@ pub trait Recorder {
     fn record(&mut self, event: Event);
 }
 
-/// The no-op recorder: `ENABLED = false`, so guarded call sites compile to nothing. Every
-/// untraced entry point (`Cluster::run`, `InferenceEngine::run`, …) is a thin wrapper
-/// passing this.
+/// The no-op recorder: `ENABLED = false`, so guarded call sites compile to nothing. An
+/// untraced run passes this to the traced entry point (`InferenceEngine::run` does so
+/// itself).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 

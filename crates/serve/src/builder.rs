@@ -1,13 +1,10 @@
-//! Declarative engine construction: one [`EngineSpec`] instead of a constructor ladder.
+//! Declarative engine construction: one [`EngineSpec`], the only way to build an
+//! [`InferenceEngine`](crate::InferenceEngine) or a [`ServeReplica`](crate::ServeReplica).
 //!
-//! PR 8 collapses the three-step `new` / `from_source` / `from_source_with_mode` ladders of
-//! [`InferenceEngine`](crate::InferenceEngine) and [`ServeReplica`](crate::ServeReplica) into
-//! a single builder. A spec names everything an engine needs up front — posterior source,
-//! serving backend, batching policy, pool workers, kernel tier and the fused-sampling switch
-//! — and [`InferenceEngine::build`](crate::InferenceEngine::build) /
-//! [`ServeReplica::build`](crate::ServeReplica::build) consume it. The old constructors
-//! remain as thin shims over default specs (every committed golden test keeps passing
-//! unmodified), but new call sites should write:
+//! A spec names everything an engine needs up front — posterior source, serving backend,
+//! batching policy, pool workers, kernel tier and the fused-sampling switch — and
+//! [`InferenceEngine::build`](crate::InferenceEngine::build) /
+//! [`ServeReplica::build`](crate::ServeReplica::build) consume it:
 //!
 //! ```
 //! use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, ServeMode};
@@ -33,10 +30,10 @@ use bnn_tensor::{KernelConfig, KernelTier};
 /// by [`InferenceEngine::build`](crate::InferenceEngine::build) and
 /// [`ServeReplica::build`](crate::ServeReplica::build).
 ///
-/// Defaults mirror the historical constructors: Monte-Carlo backend, unbatched policy, one
-/// worker, the process-default [`KernelTier`], one GEMM worker, fused sampling **on** (the
-/// fused path is bit-identical to per-sample execution, so enabling it changes speed, never
-/// bytes — pinned by `tests/fused_identity.rs`).
+/// Defaults: Monte-Carlo backend, unbatched policy, one worker, the process-default
+/// [`KernelTier`], one GEMM worker, fused sampling **on** (the fused path is bit-identical to
+/// per-sample execution, so enabling it changes speed, never bytes — pinned by
+/// `tests/fused_identity.rs`).
 #[derive(Debug, Clone)]
 pub struct EngineSpec {
     pub(crate) source: ModelSource,

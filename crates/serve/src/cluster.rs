@@ -22,37 +22,32 @@
 //!
 //! # The determinism argument
 //!
-//! Everything above runs in the simulated tick domain established by PR 2–5: arrival ticks
-//! come from the trace, batch formation follows [`crate::batcher::plan_batches`] semantics,
-//! and per-shard service timing replays [`InferenceEngine::run_with_swaps`]'s device
-//! serialization **exactly** (same `BATCH_OVERHEAD_TICKS` + ε-volume pricing, same
-//! version-at-service-start swap rule). Routing, shedding, escalation and scaling decisions
-//! are pure functions of (trace, config, swap schedule); responses are pure functions of
-//! (request, posterior, `S`). No wall clock is read anywhere on the result path, so an
-//! N-shard × M-worker cluster run serializes **byte-identically** on every machine, at every
-//! worker count — and each shard's slice of the run equals a standalone single-shard run over
-//! the sub-trace the router handed it (`tests/cluster_determinism.rs` pins both).
+//! Everything above runs in the simulated tick domain: arrival ticks come from the trace, and
+//! each shard's batching, device serialization and pricing come from one [`crate::batcher`]
+//! schedule per shard — the same schedule a bare [`InferenceEngine`] fills from its trace.
+//! Routing, shedding, escalation and scaling decisions are pure functions of (trace, config,
+//! swap schedule, fault plan); responses are pure functions of (request, posterior, `S`). No
+//! wall clock is read anywhere on the result path, so an N-shard × M-worker cluster run
+//! serializes **byte-identically** on every machine, at every worker count — and each shard's
+//! slice of the run equals a standalone single-shard run over the sub-trace the router handed
+//! it (`tests/cluster_determinism.rs` pins both).
 //!
 //! Internally a run has two phases. Phase A (the *plan*) walks arrivals in trace order
-//! through incremental per-shard simulators and makes every decision; it never touches a
-//! network, so it scales to million-request traces ([`Cluster::plan`] exposes it directly).
-//! Phase B hands each shard's admitted sub-trace to that shard's own [`InferenceEngine`] and
-//! computes real responses on its pool; the engine's batch timing is asserted equal to the
-//! plan's batch for batch, so the report's timing and its answers can never drift apart.
+//! through the per-shard schedules and makes every decision; it never touches a network, so
+//! it scales to million-request traces ([`Cluster::plan_with_faults`] exposes it directly).
+//! Phase B answers each shard's schedule exactly as phase A left it, on the shard's engine
+//! pool. It re-times nothing, so the report's timing and its answers come from one clock.
 
-use crate::batcher::BatchPolicy;
+use crate::batcher::{BatchPolicy, BatchSchedule};
 use crate::builder::EngineSpec;
-use crate::engine::BATCH_OVERHEAD_TICKS;
-use crate::engine::{
-    request_service_cost, slow_multiplier, InferenceEngine, ServeRunReport, Slowdown, VersionSwap,
-};
+use crate::engine::{InferenceEngine, ServeRunReport, VersionSwap};
 use crate::faults::{DegradeEvent, DegradeLevel, FaultPlan, FaultTimeline, FaultTrace, RetryEvent};
 use crate::request::{InferRequest, InferResponse};
 use crate::spec::{ModelSource, ServeMode};
 use bnn_obs::{export, Event, NullRecorder, Recorder};
 use shift_bnn::sweep::json::{fnv1a_hex, Json, ToJson};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// How the router picks a shard for each arriving request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -300,167 +295,14 @@ pub enum RequestOutcome {
 pub use crate::stats::latency_percentile;
 
 // ---------------------------------------------------------------------------------------------
-// Phase A: the incremental per-shard simulator
-// ---------------------------------------------------------------------------------------------
-
-/// One planned batch of a shard simulator (global request indices).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SimBatch {
-    close_tick: u64,
-    start_tick: u64,
-    end_tick: u64,
-    members: Vec<usize>,
-    version: usize,
-}
-
-/// An incremental replay of one shard's batcher + device timing, mirroring
-/// [`crate::batcher::plan_batches`] and [`InferenceEngine::run_with_swaps`] decision for
-/// decision so phase B's engine reproduces its batches exactly.
-struct ShardSim {
-    policy: BatchPolicy,
-    /// ε per sample of version 0, then of each scheduled swap, in order.
-    epsilon_counts: Vec<usize>,
-    /// The serving backend pricing this shard's batches (engine-wide, swap-invariant).
-    mode: ServeMode,
-    /// Swap activation ticks (parallel to `epsilon_counts[1..]`).
-    swap_ticks: Vec<u64>,
-    /// Fault-injected slow windows on this shard's device (empty outside fault plans).
-    slowdowns: Vec<Slowdown>,
-    open: Vec<(usize, usize)>, // (global request index, effective sample count)
-    open_deadline: u64,
-    device_free: u64,
-    batches: Vec<SimBatch>,
-    /// Closed-but-incomplete batches as (end_tick, size), popped as queried time passes.
-    in_flight: VecDeque<(u64, usize)>,
-    in_flight_requests: usize,
-}
-
-impl ShardSim {
-    fn new(
-        policy: BatchPolicy,
-        mode: ServeMode,
-        base_epsilon: usize,
-        swaps: &[VersionSwap],
-        slowdowns: &[Slowdown],
-    ) -> ShardSim {
-        let mut epsilon_counts = vec![base_epsilon];
-        epsilon_counts.extend(swaps.iter().map(|s| s.source.epsilon_count()));
-        ShardSim {
-            policy,
-            epsilon_counts,
-            mode,
-            swap_ticks: swaps.iter().map(|s| s.at_tick).collect(),
-            slowdowns: slowdowns.to_vec(),
-            open: Vec::new(),
-            open_deadline: 0,
-            device_free: 0,
-            batches: Vec::new(),
-            in_flight: VecDeque::new(),
-            in_flight_requests: 0,
-        }
-    }
-
-    /// Closes the open batch at `close_tick`, replaying the engine's device serialization:
-    /// service starts at `max(close, device_free)`, the active version is decided at that
-    /// start tick, and the batch pays overhead plus its members' ε volume.
-    fn close_open(&mut self, close_tick: u64) {
-        let start_tick = close_tick.max(self.device_free);
-        let version = self.swap_ticks.iter().take_while(|&&at| at <= start_tick).count();
-        let service: u64 = BATCH_OVERHEAD_TICKS
-            + self
-                .open
-                .iter()
-                .map(|&(_, samples)| {
-                    request_service_cost(self.mode, self.epsilon_counts[version], samples)
-                })
-                .sum::<u64>();
-        let end_tick = start_tick + slow_multiplier(&self.slowdowns, start_tick) * service;
-        self.device_free = end_tick;
-        let members: Vec<usize> = self.open.drain(..).map(|(i, _)| i).collect();
-        self.in_flight.push_back((end_tick, members.len()));
-        self.in_flight_requests += members.len();
-        self.batches.push(SimBatch { close_tick, start_tick, end_tick, members, version });
-    }
-
-    /// Advances simulated time to `t`: a batch whose wait deadline has passed closes at that
-    /// deadline, exactly when `plan_batches` would close it on the next arrival.
-    fn advance_to(&mut self, t: u64) {
-        if !self.open.is_empty() && t > self.open_deadline {
-            let deadline = self.open_deadline;
-            self.close_open(deadline);
-        }
-    }
-
-    /// Backlog at tick `t`: requests admitted but not yet completed (waiting in the open
-    /// batch, queued behind the device, or in service). Callers must query with
-    /// non-decreasing `t`.
-    fn backlog(&mut self, t: u64) -> usize {
-        self.advance_to(t);
-        while let Some(&(end, size)) = self.in_flight.front() {
-            if end > t {
-                break;
-            }
-            self.in_flight_requests -= size;
-            self.in_flight.pop_front();
-        }
-        self.open.len() + self.in_flight_requests
-    }
-
-    /// Admission-time completion estimate for a request of `samples` arriving at `t`: the
-    /// device drains its current queue, then one fresh batch (overhead + this request's ε
-    /// volume) runs. Ignores co-members the open batch would contribute, so it is a lower
-    /// bound used only to shed requests that *cannot* make their deadline.
-    fn estimate_end(&self, t: u64, samples: usize) -> u64 {
-        let start = t.max(self.device_free);
-        let version = self.swap_ticks.iter().take_while(|&&at| at <= start).count();
-        start
-            + slow_multiplier(&self.slowdowns, start)
-                * (BATCH_OVERHEAD_TICKS
-                    + request_service_cost(self.mode, self.epsilon_counts[version], samples))
-    }
-
-    /// Joins the open batch at `t`, mirroring `plan_batches`: an empty batch opens with a
-    /// fresh wait deadline; a full batch closes immediately at the joining arrival.
-    fn admit(&mut self, index: usize, samples: usize, t: u64) {
-        self.advance_to(t);
-        if self.open.is_empty() {
-            self.open_deadline = t + self.policy.max_wait_ticks;
-        }
-        self.open.push((index, samples));
-        if self.open.len() == self.policy.max_batch {
-            self.close_open(t);
-        }
-    }
-
-    /// Evicts the open (not yet dispatched) batch at crash tick `t` — the fail-stop boundary
-    /// of [`crate::faults::FaultEvent::ShardDown`]: a batch whose wait deadline already
-    /// passed closed (committed to the device) *before* the crash and completes normally;
-    /// whatever is still open at `t` never dispatches and is returned for failover. The
-    /// evicted members are, by construction, the exact tail of this shard's admission order.
-    fn evict_open(&mut self, t: u64) -> Vec<(usize, usize)> {
-        self.advance_to(t);
-        std::mem::take(&mut self.open)
-    }
-
-    /// Closes the trailing batch at its deadline (the open-loop "no end-of-input oracle"
-    /// rule `plan_batches` ends with).
-    fn finish(&mut self) {
-        if !self.open.is_empty() {
-            let deadline = self.open_deadline;
-            self.close_open(deadline);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------------------------
 // Phase A output: the plan
 // ---------------------------------------------------------------------------------------------
 
 /// The routing/admission/timing plan of a cluster run — everything except the answers.
 ///
-/// Produced by [`Cluster::plan`] without materializing a single network replica, so it scales
-/// to arbitrarily long traces; [`Cluster::run`] executes the same plan and fills in real
-/// responses.
+/// Produced by [`Cluster::plan_with_faults`] without materializing a single network replica,
+/// so it scales to arbitrarily long traces; [`Cluster::run_traced`] executes the same plan and
+/// fills in real responses.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
     /// Per submitted request, in trace order.
@@ -507,9 +349,10 @@ impl ClusterPlan {
     }
 }
 
-/// Phase-A working state shared by `plan` and `run`.
+/// Phase-A working state shared by `plan_with_faults` and `run_traced`.
 struct Routing {
-    sims: Vec<ShardSim>,
+    /// One schedule per shard; its `j`-th request is `routed[shard][j]`.
+    schedules: Vec<BatchSchedule>,
     /// Admitted global request indices per shard, in admission order (non-decreasing ticks).
     routed: Vec<Vec<usize>>,
     /// Effective per-request sample count (two-tier low passes and the degradation ladder
@@ -583,27 +426,19 @@ impl Cluster {
         }
     }
 
-    /// Groups a swap schedule by shard and validates it.
+    /// Groups a swap schedule by shard (each shard's schedule validates its own order).
     fn swaps_by_shard(&self, swaps: &[ShardSwap]) -> Vec<Vec<VersionSwap>> {
         let mut grouped: Vec<Vec<VersionSwap>> = vec![Vec::new(); self.config.shards];
         for swap in swaps {
             assert!(swap.shard < self.config.shards, "swap targets shard {}", swap.shard);
             grouped[swap.shard].push(swap.swap.clone());
         }
-        for shard in &grouped {
-            for pair in shard.windows(2) {
-                assert!(
-                    pair[0].at_tick <= pair[1].at_tick,
-                    "per-shard swap schedules must be sorted by at_tick"
-                );
-            }
-        }
         grouped
     }
 
     /// Phase A: a merged tick-ordered event loop over arrivals, failover retries, fault
     /// transitions and autoscale epochs, making every scaling, routing, degradation and
-    /// admission decision against the incremental shard simulators.
+    /// admission decision against the per-shard schedules.
     ///
     /// Event ordering, the whole determinism argument in four rules:
     ///
@@ -636,9 +471,9 @@ impl Cluster {
     ) -> Routing {
         let routable = Cluster::routable(&self.config);
         let base_epsilon = self.config.source.epsilon_count();
-        let mut sims: Vec<ShardSim> = (0..self.config.shards)
+        let mut schedules: Vec<BatchSchedule> = (0..self.config.shards)
             .map(|s| {
-                ShardSim::new(
+                BatchSchedule::new(
                     self.config.batch,
                     self.config.mode,
                     base_epsilon,
@@ -704,17 +539,12 @@ impl Cluster {
                 } else if up[shard] {
                     up[shard] = false;
                     // Fail-stop at the dispatch boundary: committed batches complete, the
-                    // open batch's members fail over. They are the exact tail of this
-                    // shard's admission order, so un-routing them is a truncation.
-                    let evicted = sims[shard].evict_open(tick);
-                    if !evicted.is_empty() {
-                        let keep = routed[shard].len() - evicted.len();
-                        debug_assert!(
-                            routed[shard][keep..].iter().zip(&evicted).all(|(&r, &(e, _))| r == e),
-                            "the open batch must be the tail of the shard's admission order"
-                        );
-                        routed[shard].truncate(keep);
-                        for &(i, _) in &evicted {
+                    // open batch's members fail over. They are the latest admissions of this
+                    // shard, so un-routing them is a truncation.
+                    let evicted = schedules[shard].evict_open(tick);
+                    if evicted > 0 {
+                        let keep = routed[shard].len() - evicted;
+                        for i in routed[shard].split_off(keep) {
                             attempts[i] += 1;
                             let attempt = attempts[i];
                             if attempt <= faults.retry.max_retries {
@@ -749,7 +579,7 @@ impl Cluster {
             if ep_due {
                 let scale = self.config.autoscale.expect("ep_due implies autoscaling");
                 let epoch = next_epoch.expect("ep_due implies an epoch");
-                let backlog: usize = sims[..active].iter_mut().map(|sim| sim.backlog(epoch)).sum();
+                let backlog: usize = schedules[..active].iter_mut().map(|s| s.backlog(epoch)).sum();
                 if backlog > scale.high_watermark * active && active < routable {
                     active += 1;
                     if R::ENABLED {
@@ -829,7 +659,7 @@ impl Cluster {
             let level = match faults.ladder {
                 Some(ladder) => {
                     let pressure: usize =
-                        (0..active).filter(|&s| up[s]).map(|s| sims[s].backlog(t)).sum();
+                        (0..active).filter(|&s| up[s]).map(|s| schedules[s].backlog(t)).sum();
                     let level = ladder.level_for(pressure, live);
                     if level != current_level {
                         let event = DegradeEvent {
@@ -872,7 +702,7 @@ impl Cluster {
                 }
                 RoutingPolicy::LeastLoaded | RoutingPolicy::TwoTier { .. } => (0..active)
                     .filter(|&s| up[s])
-                    .min_by_key(|&s| (sims[s].backlog(t), s))
+                    .min_by_key(|&s| (schedules[s].backlog(t), s))
                     .expect("at least one live shard"),
             };
 
@@ -887,7 +717,7 @@ impl Cluster {
                 continue;
             }
             // The backlog at the admission decision doubles as the recorded queue depth.
-            let depth = sims[shard].backlog(t);
+            let depth = schedules[shard].backlog(t);
             if depth >= self.config.queue_cap {
                 let reason = ShedReason::QueueFull;
                 let event = ShedEvent { request: request.id, tick: t, shard, reason };
@@ -899,7 +729,7 @@ impl Cluster {
                 continue;
             }
             if let Some(deadline) = self.config.deadline_ticks {
-                if sims[shard].estimate_end(t, samples) > t + deadline {
+                if schedules[shard].estimate_end(t, samples) > t + deadline {
                     let reason = ShedReason::Deadline;
                     let event = ShedEvent { request: request.id, tick: t, shard, reason };
                     if R::ENABLED {
@@ -918,16 +748,16 @@ impl Cluster {
                     queue_depth: depth,
                 });
             }
-            sims[shard].admit(i, samples, t);
+            schedules[shard].admit(samples, t);
             routed[shard].push(i);
             effective_samples[i] = samples;
             admitted_ticks[i] = t;
         }
-        for sim in &mut sims {
-            sim.finish();
+        for schedule in &mut schedules {
+            schedule.finish();
         }
         Routing {
-            sims,
+            schedules,
             routed,
             effective_samples,
             admitted_ticks,
@@ -940,44 +770,22 @@ impl Cluster {
         }
     }
 
-    /// Plans a swap-free run without computing any responses: routing, admission, shedding,
-    /// scaling and complete tick timing. Usable with arbitrarily long traces (nothing
-    /// per-request but bookkeeping), which is what the large-trace stress benchmarks drive.
-    /// For a run with scheduled hot-swaps, use [`Cluster::plan_with_swaps`].
+    /// Plans a run without computing any responses: routing, admission, shedding, scaling,
+    /// complete tick timing under the per-shard hot-swap schedule, and the [`FaultPlan`]'s
+    /// crashes, recoveries, slow windows and checkpoint corruptions at their exact ticks, with
+    /// failover retries and the degradation ladder reacting. The plan's `faults` trace records
+    /// every one of them. Nothing per-request is built but bookkeeping, so traces can be
+    /// arbitrarily long; pass `&[]` and [`FaultPlan::none`] for a healthy, swap-free plan.
     ///
     /// # Panics
     ///
-    /// Panics under [`RoutingPolicy::TwoTier`] — escalation decisions need real predictive
-    /// entropy, so the two-tier policy only supports [`Cluster::run`].
-    pub fn plan(&self, trace: &[InferRequest]) -> ClusterPlan {
-        self.plan_with_swaps(trace, &[])
-    }
-
-    /// [`Cluster::plan`] under a scheduled per-shard hot-swap schedule: batch timing prices
-    /// each batch at the version active at its service start, exactly as
-    /// [`Cluster::run_with_swaps`] executes it, so a swapped run's timing can be pre-planned
-    /// and cross-checked the same way a swap-free run's can.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::plan`], or when a swap targets a shard
-    /// out of range or a per-shard schedule is not sorted by `at_tick`.
-    pub fn plan_with_swaps(&self, trace: &[InferRequest], swaps: &[ShardSwap]) -> ClusterPlan {
-        self.plan_with_faults(trace, swaps, &FaultPlan::none())
-    }
-
-    /// [`Cluster::plan_with_swaps`] under a [`FaultPlan`]: crashes, recoveries, slow windows
-    /// and checkpoint corruptions fire at their exact ticks, failover retries and the
-    /// degradation ladder react, and the plan's `faults` trace records every one of them.
-    /// Still plan-only — no replica is ever materialized — so the chaos grid can sweep fault
-    /// schedules over arbitrarily long traces. Under [`FaultPlan::none`] this *is*
-    /// `plan_with_swaps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::plan_with_swaps`], or when the fault
-    /// plan fails validation ([`FaultPlan`] events unsorted, shard out of range, ladder
-    /// watermarks inverted, or a ladder on a non-Monte-Carlo cluster).
+    /// Panics when the trace is not sorted by arrival tick; under [`RoutingPolicy::TwoTier`]
+    /// (escalation decisions need real predictive entropy, so only
+    /// [`Cluster::run_traced`] serves it); when a swap targets a shard out of range or a
+    /// per-shard swap schedule is not sorted by `at_tick`; or when the fault plan fails
+    /// validation (events unsorted, a shard out of range, an empty slow window or a zero
+    /// multiplier, ladder watermarks not strictly increasing, or a ladder on a
+    /// non-Monte-Carlo cluster).
     pub fn plan_with_faults(
         &self,
         trace: &[InferRequest],
@@ -986,7 +794,7 @@ impl Cluster {
     ) -> ClusterPlan {
         assert!(
             !matches!(self.config.routing, RoutingPolicy::TwoTier { .. }),
-            "two-tier escalation needs real entropies; use Cluster::run"
+            "two-tier escalation needs real entropies; use Cluster::run_traced"
         );
         let timeline = FaultTimeline::build(
             faults,
@@ -998,24 +806,16 @@ impl Cluster {
         let checkpoint_faults = timeline.cancel_corrupted_swaps(&mut grouped);
         let routing = self.route(trace, &grouped, faults, &timeline, &mut NullRecorder);
         let mut outcomes = routing.outcomes;
-        let mut end_ticks = vec![0u64; trace.len()];
-        let mut makespan = 0u64;
-        for sim in &routing.sims {
-            for batch in &sim.batches {
-                makespan = makespan.max(batch.end_tick);
-                for &i in &batch.members {
-                    end_ticks[i] = batch.end_tick;
+        for (shard, schedule) in routing.schedules.iter().enumerate() {
+            for (batch, members) in schedule.batch_members() {
+                for &i in &routing.routed[shard][members] {
+                    outcomes[i] = Some(RequestOutcome::Answered {
+                        shard,
+                        end_tick: batch.end_tick,
+                        escalated: false,
+                        upgraded: false,
+                    });
                 }
-            }
-        }
-        for (shard, members) in routing.routed.iter().enumerate() {
-            for &i in members {
-                outcomes[i] = Some(RequestOutcome::Answered {
-                    shard,
-                    end_tick: end_ticks[i],
-                    escalated: false,
-                    upgraded: false,
-                });
             }
         }
         let outcomes: Vec<RequestOutcome> =
@@ -1035,8 +835,13 @@ impl Cluster {
             sheds: routing.sheds,
             scale_events: routing.scale_events,
             latencies,
-            makespan_ticks: makespan,
-            batches_per_shard: routing.sims.iter().map(|s| s.batches.len()).collect(),
+            makespan_ticks: routing
+                .schedules
+                .iter()
+                .map(BatchSchedule::makespan)
+                .max()
+                .unwrap_or(0),
+            batches_per_shard: routing.schedules.iter().map(|s| s.batches().len()).collect(),
             faults: FaultTrace {
                 retries: routing.retries,
                 degrades: routing.degrades,
@@ -1046,65 +851,26 @@ impl Cluster {
         }
     }
 
-    /// Serves a trace through the cluster: plan (phase A), then answer every admitted
-    /// request on its shard's own engine (phase B), escalating high-entropy two-tier
-    /// answers to the high shard.
+    /// Serves a trace through the cluster: plan (phase A, as [`Cluster::plan_with_faults`]
+    /// under the same swaps and faults), then answer every finally-admitted request on its
+    /// shard's engine pool (phase B), escalating high-entropy two-tier answers to the high
+    /// shard. Phase B answers the batches each shard's schedule holds, as planned. A request
+    /// with `samples == 0` — sent so, or moved to the analytic backend by the degradation
+    /// ladder — is priced at moment cost and answered by one moment pass.
+    ///
+    /// Every routing decision, batch transition, fault reaction and final answer is recorded
+    /// as a tick-stamped [`Event`], keyed by request id. The recorder is written to and never
+    /// read, so the returned report — responses, outcomes, timing, digests — is
+    /// byte-identical to the untraced run's (pass [`NullRecorder`]) at any worker or shard
+    /// count. Recorded streams attribute 100% of every answered request's end-to-end latency
+    /// to named stages via [`bnn_obs::assemble_traces`].
     ///
     /// # Panics
     ///
-    /// Panics when the trace is not sorted by arrival tick, a request's input shape
-    /// mismatches the source, or a request asks for zero samples.
-    pub fn run(&self, trace: &[InferRequest]) -> ClusterRunReport {
-        self.run_with_swaps(trace, &[])
-    }
-
-    /// [`Cluster::run`] with scheduled per-shard hot-swaps: each shard's engine answers its
-    /// sub-trace under its own swap schedule, with the same deterministic
-    /// version-at-service-start boundary as [`InferenceEngine::run_with_swaps`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::run`], or when a swap targets a shard
-    /// out of range or a per-shard schedule is not sorted by `at_tick`.
-    pub fn run_with_swaps(&self, trace: &[InferRequest], swaps: &[ShardSwap]) -> ClusterRunReport {
-        self.run_with_faults(trace, swaps, &FaultPlan::none())
-    }
-
-    /// [`Cluster::run_with_swaps`] under a [`FaultPlan`] — the executed twin of
-    /// [`Cluster::plan_with_faults`]: the same phase-A decisions, then real answers for
-    /// every finally-admitted request on its shard's own engine. The fail-stop eviction
-    /// boundary keeps phase B honest: an evicted request never appears in a shard's
-    /// sub-trace, so the engine replays exactly the batches the plan committed
-    /// (`assert_sim_matches_engine` still checks every batch, faults or not), and requests
-    /// the degradation ladder downgraded to the analytic backend are answered by the
-    /// engine's moment sentinel (`samples == 0`). Under [`FaultPlan::none`] this *is*
-    /// `run_with_swaps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::run_with_swaps`] and
-    /// [`Cluster::plan_with_faults`], or when a non-empty fault plan is combined with
-    /// [`RoutingPolicy::TwoTier`] (escalation across crashing shards is not modelled).
-    pub fn run_with_faults(
-        &self,
-        trace: &[InferRequest],
-        swaps: &[ShardSwap],
-        faults: &FaultPlan,
-    ) -> ClusterRunReport {
-        self.run_traced(trace, swaps, faults, &mut NullRecorder)
-    }
-
-    /// [`Cluster::run_with_faults`] with structured tracing: every routing decision, batch
-    /// transition, fault reaction and final answer is recorded as a tick-stamped
-    /// [`Event`], keyed by request id. The recorder is written to and never read, so the
-    /// returned report — responses, outcomes, timing, digests — is byte-identical to the
-    /// untraced run's at any worker or shard count (the obs benchmark asserts this on every
-    /// record it commits). Recorded streams attribute 100% of every answered request's
-    /// end-to-end latency to named stages via [`bnn_obs::assemble_traces`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Cluster::run_with_faults`].
+    /// Panics under the conditions of [`Cluster::plan_with_faults`] other than two-tier
+    /// routing, when a non-empty fault plan is combined with [`RoutingPolicy::TwoTier`]
+    /// (escalation across crashing shards is not modelled), or when a request's input shape
+    /// mismatches the source.
     pub fn run_traced<R: Recorder>(
         &self,
         trace: &[InferRequest],
@@ -1134,16 +900,19 @@ impl Cluster {
         }
         let routing = self.route(trace, &grouped, faults, &timeline, rec);
 
-        // Phase B: each shard's admitted sub-trace runs on that shard's own engine; the
-        // engine re-derives batch timing from the sub-trace, and it must agree with the
-        // plan's batch for batch — the cluster's timing and answers come from one clock.
-        // A retried request enters the sub-trace at its final admission tick (its failover
-        // history lives in phase A; the engine sees only the admission that stuck).
-        // Under two-tier routing the router never targets the reserved high shard, so its
-        // engine (and report) is built once by the escalation block below, not here.
-        let phase_b_shards = Cluster::routable(&self.config);
+        // Phase B: each routable shard's engine answers the shard's schedule as planned. A
+        // request enters the shard's sub-trace at the tick and sample count the schedule
+        // admitted it at (a retried request's failover history lives in phase A).
+        let engine = InferenceEngine::build(
+            EngineSpec::new(self.config.source.clone())
+                .mode(self.config.mode)
+                .policy(self.config.batch)
+                .workers(self.config.workers_per_shard),
+        );
+        let mut schedules = routing.schedules.into_iter();
         let mut shard_reports: Vec<ServeRunReport> = Vec::with_capacity(self.config.shards);
-        for (shard, shard_swaps) in grouped.iter().enumerate().take(phase_b_shards) {
+        let routable = Cluster::routable(&self.config);
+        for (shard, schedule) in schedules.by_ref().take(routable).enumerate() {
             let sub_trace: Vec<InferRequest> = routing.routed[shard]
                 .iter()
                 .map(|&i| {
@@ -1153,23 +922,8 @@ impl Cluster {
                     request
                 })
                 .collect();
-            let engine = InferenceEngine::from_source_with_mode(
-                self.config.source.clone(),
-                self.config.mode,
-                self.config.batch,
-                self.config.workers_per_shard,
-            );
-            let report = engine.run_recorded(
-                &sub_trace,
-                shard_swaps,
-                &timeline.slowdowns[shard],
-                shard,
-                rec,
-            );
-            assert_sim_matches_engine(&routing.sims[shard], &report, shard);
-            shard_reports.push(report);
+            shard_reports.push(engine.execute(&sub_trace, &grouped[shard], schedule, shard, rec));
         }
-
         let mut outcomes = routing.outcomes;
         let mut responses: Vec<Option<InferResponse>> = vec![None; trace.len()];
         let mut end_ticks = vec![0u64; trace.len()];
@@ -1205,22 +959,18 @@ impl Cluster {
                 .collect();
             candidates.sort_unstable();
 
-            let mut high_sim = ShardSim::new(
-                self.config.batch,
-                self.config.mode,
-                self.config.source.epsilon_count(),
-                &grouped[high],
-                &[], // two-tier runs carry no fault plan (asserted above)
-            );
+            // The router never targets the high shard, so its phase-A schedule is still
+            // empty; escalations fill it in completion-tick order.
+            let mut high_schedule = schedules.next().expect("two-tier reserves a high shard");
             // `high_trace[k]` escalates the request at trace index `high_indices[k]`; ids
             // are caller-chosen and never used as positions.
             let mut high_trace: Vec<InferRequest> = Vec::new();
             let mut high_indices: Vec<usize> = Vec::new();
             let mut kept_low: Vec<usize> = Vec::new();
             for &(tick, i) in &candidates {
-                let full = high_sim.backlog(tick) >= self.config.queue_cap;
+                let full = high_schedule.backlog(tick) >= self.config.queue_cap;
                 let late = self.config.deadline_ticks.is_some_and(|deadline| {
-                    high_sim.estimate_end(tick, high_samples) > tick + deadline
+                    high_schedule.estimate_end(tick, high_samples) > tick + deadline
                 });
                 let admit = !full && !late;
                 let event = EscalationEvent { request: trace[i].id, tick, admitted: admit };
@@ -1229,7 +979,7 @@ impl Cluster {
                 }
                 escalations.push(event);
                 if admit {
-                    high_sim.admit(i, high_samples, tick);
+                    high_schedule.admit(high_samples, tick);
                     let mut request = trace[i].clone();
                     request.arrival_tick = tick;
                     request.samples = high_samples;
@@ -1239,15 +989,8 @@ impl Cluster {
                     kept_low.push(i);
                 }
             }
-            high_sim.finish();
-
-            let engine = InferenceEngine::from_source(
-                self.config.source.clone(),
-                self.config.batch,
-                self.config.workers_per_shard,
-            );
-            let high_report = engine.run_recorded(&high_trace, &grouped[high], &[], high, rec);
-            assert_sim_matches_engine(&high_sim, &high_report, high);
+            high_schedule.finish();
+            let high_report = engine.execute(&high_trace, &grouped[high], high_schedule, high, rec);
 
             for (k, &i) in high_indices.iter().enumerate() {
                 let end = high_trace[k].arrival_tick + high_report.latencies[k];
@@ -1309,28 +1052,6 @@ impl Cluster {
                 levels: routing.levels,
             },
         }
-    }
-}
-
-/// Pins phase A to phase B: the incremental simulator's batches must replay the engine's
-/// batch stats exactly — same closes, same service starts and ends, same sizes, same
-/// versions. A divergence would mean routing decisions were made against a different clock
-/// than the one the report carries, so it is a hard error, not a tolerance.
-fn assert_sim_matches_engine(sim: &ShardSim, report: &ServeRunReport, shard: usize) {
-    assert_eq!(
-        sim.batches.len(),
-        report.batches.len(),
-        "shard {shard}: plan and engine disagree on batch count"
-    );
-    for (planned, executed) in sim.batches.iter().zip(&report.batches) {
-        assert!(
-            planned.close_tick == executed.close_tick
-                && planned.start_tick == executed.start_tick
-                && planned.end_tick == executed.end_tick
-                && planned.members.len() == executed.size
-                && planned.version == executed.version,
-            "shard {shard}: plan batch {planned:?} diverged from engine batch {executed:?}"
-        );
     }
 }
 
@@ -1591,11 +1312,26 @@ mod tests {
         WorkloadSpec::uniform(requests, interarrival, 2, 33).generate(&spec())
     }
 
+    /// An untraced run with the given swaps and faults.
+    fn serve(
+        cluster: &Cluster,
+        trace: &[InferRequest],
+        swaps: &[ShardSwap],
+        faults: &FaultPlan,
+    ) -> ClusterRunReport {
+        cluster.run_traced(trace, swaps, faults, &mut NullRecorder)
+    }
+
+    /// An untraced healthy, swap-free run.
+    fn run(cluster: &Cluster, trace: &[InferRequest]) -> ClusterRunReport {
+        serve(cluster, trace, &[], &FaultPlan::none())
+    }
+
     #[test]
     fn every_request_has_exactly_one_outcome() {
         let cluster = Cluster::new(config(3, RoutingPolicy::LeastLoaded));
         let trace = trace(48, 1);
-        let report = cluster.run(&trace);
+        let report = run(&cluster, &trace);
         assert_eq!(report.outcomes.len(), 48);
         assert_eq!(report.answered() + report.sheds.len(), report.submitted());
         for (i, outcome) in report.outcomes.iter().enumerate() {
@@ -1617,7 +1353,7 @@ mod tests {
     fn round_robin_spreads_and_least_loaded_balances() {
         let trace = trace(32, 2);
         for routing in [RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded] {
-            let report = Cluster::new(config(4, routing)).run(&trace);
+            let report = run(&Cluster::new(config(4, routing)), &trace);
             let served: Vec<usize> =
                 report.shard_reports.iter().map(|r| r.responses.len()).collect();
             assert!(served.iter().all(|&n| n > 0), "{}: idle shard {served:?}", routing.label());
@@ -1631,7 +1367,7 @@ mod tests {
             .generate(&spec());
         let mut cfg = config(2, RoutingPolicy::LeastLoaded);
         cfg.queue_cap = 4;
-        let report = Cluster::new(cfg).run(&spikes);
+        let report = run(&Cluster::new(cfg), &spikes);
         assert!(!report.sheds.is_empty(), "a 32-request spike must overflow cap-4 queues");
         assert!(report.shed_rate() > 0.0);
         for event in &report.sheds {
@@ -1646,7 +1382,7 @@ mod tests {
         cfg.deadline_ticks = Some(70); // one batch overhead (64) + a couple of service ticks
         cfg.queue_cap = 1000;
         let dense = trace(32, 1);
-        let report = Cluster::new(cfg).run(&dense);
+        let report = run(&Cluster::new(cfg), &dense);
         assert!(
             report.sheds.iter().any(|s| s.reason == ShedReason::Deadline),
             "a deadline barely above the batch overhead must shed queued requests"
@@ -1666,7 +1402,7 @@ mod tests {
             ..config(3, RoutingPolicy::LeastLoaded)
         };
         let trace = trace(24, 4);
-        let report = Cluster::new(cfg).run(&trace);
+        let report = run(&Cluster::new(cfg), &trace);
         assert_eq!(report.escalations.len(), report.answered());
         for outcome in &report.outcomes {
             if let RequestOutcome::Answered { escalated, upgraded, shard, .. } = outcome {
@@ -1700,7 +1436,7 @@ mod tests {
             },
             ..config(2, RoutingPolicy::LeastLoaded)
         };
-        let report = Cluster::new(cfg).run(&trace(16, 4));
+        let report = run(&Cluster::new(cfg), &trace(16, 4));
         assert!(report.escalations.is_empty());
         assert_eq!(report.escalation_rate(), 0.0);
         assert!(report.shard_reports[1].responses.is_empty(), "high shard stays idle");
@@ -1722,7 +1458,7 @@ mod tests {
         for request in trace.iter_mut().skip(40) {
             request.arrival_tick += 4000;
         }
-        let report = Cluster::new(cfg).run(&trace);
+        let report = run(&Cluster::new(cfg), &trace);
         assert!(!report.scale_events.is_empty(), "the burst must trigger scaling");
         for event in &report.scale_events {
             assert_eq!(event.tick % 32, 0, "scale decisions land on epoch ticks only");
@@ -1751,8 +1487,8 @@ mod tests {
         for request in relabeled.iter_mut() {
             request.id = 10_000 + request.id * 7;
         }
-        let baseline = Cluster::new(cfg()).run(&indexed);
-        let report = Cluster::new(cfg()).run(&relabeled);
+        let baseline = run(&Cluster::new(cfg()), &indexed);
+        let report = run(&Cluster::new(cfg()), &relabeled);
         assert_eq!(report.outcomes, baseline.outcomes);
         assert_eq!(report.latencies, baseline.latencies);
         // Answers match payload-for-payload; only the echoed caller id may differ.
@@ -1782,14 +1518,13 @@ mod tests {
             shard: 1,
             swap: VersionSwap { at_tick: 80, source: ModelSource::Spec(ModelSpec::mlp(77)) },
         }];
-        let plan = cluster.plan_with_swaps(&trace, &swaps);
-        let report = cluster.run_with_swaps(&trace, &swaps);
+        let plan = cluster.plan_with_faults(&trace, &swaps, &FaultPlan::none());
+        let report = serve(&cluster, &trace, &swaps, &FaultPlan::none());
         assert_eq!(plan.outcomes, report.outcomes);
         assert_eq!(plan.sheds, report.sheds);
         assert_eq!(plan.latencies, report.latencies);
         assert_eq!(plan.makespan_ticks, report.makespan_ticks);
-        // The swap engaged: the swapped shard served batches on both sides of the boundary
-        // (run_with_swaps cross-checks the plan's per-batch version against the engine's).
+        // The swap engaged: the swapped shard served batches on both sides of the boundary.
         let versions: Vec<usize> =
             report.shard_reports[1].batches.iter().map(|b| b.version).collect();
         assert!(versions.contains(&0) && versions.contains(&1), "swap never engaged: {versions:?}");
@@ -1799,8 +1534,8 @@ mod tests {
     fn plan_matches_run_timing_without_computing_responses() {
         let cluster = Cluster::new(config(3, RoutingPolicy::RoundRobin));
         let trace = trace(40, 2);
-        let plan = cluster.plan(&trace);
-        let report = cluster.run(&trace);
+        let plan = cluster.plan_with_faults(&trace, &[], &FaultPlan::none());
+        let report = run(&cluster, &trace);
         assert_eq!(plan.outcomes, report.outcomes);
         assert_eq!(plan.sheds, report.sheds);
         assert_eq!(plan.latencies, report.latencies);
@@ -1813,10 +1548,17 @@ mod tests {
 
     #[test]
     fn fault_plan_none_is_byte_identical_to_a_plain_run() {
+        use crate::faults::{FaultEvent, RetryPolicy};
+        // A crash long after the trace drains, under a non-default retry policy, fires
+        // through the whole fault path and still must not change a byte.
         let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
         let trace = trace(24, 2);
-        let plain = cluster.run(&trace);
-        let faulted = cluster.run_with_faults(&trace, &[], &FaultPlan::none());
+        let plain = run(&cluster, &trace);
+        let late_crash =
+            FaultPlan::new(vec![FaultEvent::ShardDown { tick: 1 << 40, shard: 1 }]).with_retry(
+                RetryPolicy { base_backoff_ticks: 1, max_backoff_ticks: 2, max_retries: 9 },
+            );
+        let faulted = serve(&cluster, &trace, &[], &late_crash);
         assert_eq!(plain.to_json().to_compact(), faulted.to_json().to_compact());
         assert_eq!(plain.events_digest(), faulted.events_digest());
         assert!(faulted.faults.retries.is_empty());
@@ -1837,7 +1579,7 @@ mod tests {
             FaultEvent::ShardUp { tick: 400, shard: 0 },
         ]);
         let plan = cluster.plan_with_faults(&trace, &[], &faults);
-        let report = cluster.run_with_faults(&trace, &[], &faults);
+        let report = serve(&cluster, &trace, &[], &faults);
         assert_eq!(report.answered() + report.sheds.len(), report.submitted());
         assert_eq!(plan.outcomes, report.outcomes);
         assert_eq!(plan.latencies, report.latencies);
@@ -1879,7 +1621,7 @@ mod tests {
             max_backoff_ticks: 64,
             max_retries: 0,
         });
-        let report = cluster.run_with_faults(&trace, &[], &faults);
+        let report = serve(&cluster, &trace, &[], &faults);
         assert_eq!(report.answered(), 0);
         assert_eq!(report.sheds.len(), 8);
         for (shed, request) in report.sheds.iter().zip(&trace) {
@@ -1901,8 +1643,8 @@ mod tests {
             until_tick: u64::MAX,
             multiplier: 6,
         }]);
-        let healthy = cluster.run(&trace);
-        let report = cluster.run_with_faults(&trace, &[], &faults);
+        let healthy = run(&cluster, &trace);
+        let report = serve(&cluster, &trace, &[], &faults);
         assert!(report.makespan_ticks > healthy.makespan_ticks);
         for batch in &report.shard_reports[1].batches {
             assert_eq!((batch.end_tick - batch.start_tick) % 6, 0, "shard 1 runs 6x slow");
@@ -1936,8 +1678,8 @@ mod tests {
             moment_watermark: 5,
             shed_watermark: 64,
         };
-        let without = cluster.run_with_faults(&dense, &[], &FaultPlan::none());
-        let with = cluster.run_with_faults(&dense, &[], &FaultPlan::none().with_ladder(ladder));
+        let without = serve(&cluster, &dense, &[], &FaultPlan::none());
+        let with = serve(&cluster, &dense, &[], &FaultPlan::none().with_ladder(ladder));
         assert!(!with.faults.degrades.is_empty(), "pressure must move the ladder");
         let (normal, reduced, moment) = with.degrade_occupancy();
         assert!(reduced + moment > 0, "some requests must serve degraded");
@@ -1956,8 +1698,7 @@ mod tests {
         }
         // Transitions reconstruct the per-request levels: both serialize deterministically.
         assert_eq!(with.fault_events_digest(), {
-            let again =
-                cluster.run_with_faults(&dense, &[], &FaultPlan::none().with_ladder(ladder));
+            let again = serve(&cluster, &dense, &[], &FaultPlan::none().with_ladder(ladder));
             again.fault_events_digest()
         });
     }
@@ -1975,7 +1716,7 @@ mod tests {
             moment_watermark: 2,
             shed_watermark: 3,
         };
-        let report = cluster.run_with_faults(&dense, &[], &FaultPlan::none().with_ladder(ladder));
+        let report = serve(&cluster, &dense, &[], &FaultPlan::none().with_ladder(ladder));
         assert!(
             report.sheds.iter().any(|s| s.reason == ShedReason::Overload),
             "a shed watermark this low must trip the top rung"
@@ -1993,8 +1734,8 @@ mod tests {
             swap: VersionSwap { at_tick: 80, source: ModelSource::Spec(ModelSpec::mlp(77)) },
         }];
         let faults = FaultPlan::new(vec![FaultEvent::CorruptCheckpoint { tick: 80, shard: 1 }]);
-        let swapped = cluster.run_with_swaps(&trace, &swaps);
-        let report = cluster.run_with_faults(&trace, &swaps, &faults);
+        let swapped = serve(&cluster, &trace, &swaps, &FaultPlan::none());
+        let report = serve(&cluster, &trace, &swaps, &faults);
         assert_eq!(
             report.faults.checkpoint_faults,
             vec![crate::faults::CheckpointFaultEvent { tick: 80, shard: 1, cancelled_swaps: 1 }]
@@ -2009,7 +1750,7 @@ mod tests {
             "the cancelled swap visibly changes post-boundary answers"
         );
         // And the same run without the corruption matches a swap-free run byte for byte.
-        let unswapped = cluster.run(&trace);
+        let unswapped = run(&cluster, &trace);
         assert_eq!(unswapped.responses_digest(), report.responses_digest());
     }
 
@@ -2032,7 +1773,7 @@ mod tests {
         for workers in [1, 4] {
             let mut cfg = config(2, RoutingPolicy::LeastLoaded);
             cfg.workers_per_shard = workers;
-            reports.push(Cluster::new(cfg).run_with_faults(&trace, &[], &faults));
+            reports.push(serve(&Cluster::new(cfg), &trace, &[], &faults));
         }
         assert_eq!(reports[0].to_json().to_compact(), reports[1].to_json().to_compact());
         assert_eq!(reports[0].fault_events_digest(), reports[1].fault_events_digest());
@@ -2041,7 +1782,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_an_empty_report() {
-        let report = Cluster::new(config(2, RoutingPolicy::LeastLoaded)).run(&[]);
+        let report = run(&Cluster::new(config(2, RoutingPolicy::LeastLoaded)), &[]);
         assert_eq!(report.submitted(), 0);
         assert_eq!(report.makespan_ticks, 0);
         assert_eq!(report.shed_rate(), 0.0);
@@ -2053,10 +1794,19 @@ mod tests {
     fn reports_serialize_deterministically() {
         let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
         let trace = trace(12, 2);
-        let a = cluster.run(&trace);
-        let b = cluster.run(&trace);
+        let a = run(&cluster, &trace);
+        let b = run(&cluster, &trace);
         assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
         assert_eq!(a.responses_digest(), b.responses_digest());
         assert_eq!(a.events_digest(), b.events_digest());
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by arrival_tick")]
+    fn unsorted_trace_is_rejected() {
+        let mut trace = trace(8, 3);
+        trace.swap(2, 5);
+        let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
+        cluster.plan_with_faults(&trace, &[], &FaultPlan::none());
     }
 }

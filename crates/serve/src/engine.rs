@@ -2,11 +2,12 @@
 //!
 //! Two clocks run through an engine, deliberately kept apart:
 //!
-//! * the **tick clock** is simulated. Batch formation ([`crate::batcher`]), service cost and
-//!   every latency statistic live here, modelled after the Shift-BNN accelerator (a batch pays
-//!   a fixed dispatch/weight-load overhead of [`BATCH_OVERHEAD_TICKS`], then each request pays
-//!   one tick per [`EPSILON_LANES`] ε drawn — the paper's 16 SPUs × 64 GRNG lanes). Nothing on
-//!   this path reads a wall clock, so reports are bit-reproducible;
+//! * the **tick clock** is simulated. Batch formation, device serialization and service cost
+//!   all come from one [`crate::batcher`] schedule the engine fills from its trace, modelled
+//!   after the Shift-BNN accelerator (a batch pays a fixed dispatch/weight-load overhead of 64
+//!   ticks, then each request pays one tick per 1,024 ε drawn — the paper's 16 SPUs × 64 GRNG
+//!   lanes). Every latency statistic lives here. Nothing on this path reads a wall clock, so
+//!   reports are bit-reproducible;
 //! * the **wall clock** exists only outside the engine: `serve_bench` times whole runs to
 //!   measure real software throughput, and those numbers are explicitly excluded from the
 //!   committed regression baselines.
@@ -19,13 +20,13 @@
 //! the completion order — so 1-worker and N-worker runs, and batch-size-1 and coalesced runs,
 //! produce byte-identical responses. `tests/serve_determinism.rs` pins those equalities and
 //! `tests/hot_swap.rs` extends them across scheduled version swaps
-//! ([`InferenceEngine::run_with_swaps`]): versions change only at deterministic tick
-//! boundaries, old versions drain, and no request is ever dropped.
+//! ([`InferenceEngine::run_traced`]): versions change only at deterministic tick boundaries,
+//! old versions drain, and no request is ever dropped.
 
-use crate::batcher::{plan_batches, BatchPolicy};
+use crate::batcher::{service_cost, BatchPolicy, BatchSchedule};
 use crate::builder::EngineSpec;
 use crate::request::{mix_seed, InferRequest, InferResponse};
-use crate::spec::{ModelSource, ModelSpec, ServeMode};
+use crate::spec::{ModelSource, ServeMode};
 use bnn_obs::{Event, NullRecorder, Recorder};
 use bnn_tensor::{KernelConfig, Tensor};
 use bnn_train::moment::MomentNetwork;
@@ -33,13 +34,6 @@ use bnn_train::network::Predictive;
 use bnn_train::{EpsilonSource, LfsrForward, Network};
 use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
-
-/// Ticks a batch pays once, regardless of size: dispatch plus streaming the `(μ, σ)` weights
-/// into the SPU array. Amortizing this over coalesced requests is what batching buys.
-pub const BATCH_OVERHEAD_TICKS: u64 = 64;
-
-/// ε values generated per tick: 16 Sample Processing Units × 64 GRNG lanes each.
-pub const EPSILON_LANES: u64 = 1024;
 
 /// Timing of one executed batch in the simulated tick domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,33 +66,6 @@ pub struct VersionSwap {
     pub at_tick: u64,
     /// The replacement posterior source.
     pub source: ModelSource,
-}
-
-/// A fault-injected slow window on the simulated device: a batch whose service *starts*
-/// inside `[from_tick, until_tick)` takes `multiplier ×` its normal service time. The
-/// multiplier is sampled once, at the start tick — a batch starting just before the window
-/// ends runs slow end to end, mirroring how a thermal-throttled device finishes the work it
-/// started. Windows come from [`crate::faults::FaultEvent::SlowShard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slowdown {
-    /// First tick of the slow window (inclusive).
-    pub from_tick: u64,
-    /// End of the slow window (exclusive).
-    pub until_tick: u64,
-    /// Service-time multiplier (≥ 1).
-    pub multiplier: u64,
-}
-
-/// The service-time multiplier in effect for a batch starting at `start_tick`: the maximum
-/// over every slow window containing it, `1` outside all windows (overlapping faults don't
-/// stack multiplicatively — the worst one dominates, keeping grid scenarios composable).
-pub(crate) fn slow_multiplier(slowdowns: &[Slowdown], start_tick: u64) -> u64 {
-    slowdowns
-        .iter()
-        .filter(|s| s.from_tick <= start_tick && start_tick < s.until_tick)
-        .map(|s| s.multiplier)
-        .max()
-        .unwrap_or(1)
 }
 
 /// The result of one engine run over a request trace.
@@ -201,9 +168,9 @@ impl ServeRunReport {
 }
 
 /// A batched inference engine over one frozen posterior (with optional scheduled hot-swaps
-/// to newer posterior versions — see [`InferenceEngine::run_with_swaps`]), serving under
-/// either backend of the [`ServeMode`] axis: `S`-sample Monte-Carlo or single-pass analytic
-/// moment propagation.
+/// to newer posterior versions — see [`InferenceEngine::run_traced`]), serving under either
+/// backend of the [`ServeMode`] axis: `S`-sample Monte-Carlo or single-pass analytic moment
+/// propagation.
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     source: ModelSource,
@@ -216,8 +183,7 @@ pub struct InferenceEngine {
 }
 
 impl InferenceEngine {
-    /// Builds an engine from a declarative [`EngineSpec`] — the single construction surface
-    /// since PR 8 (the historical constructors below are thin shims over default specs).
+    /// Builds an engine from a declarative [`EngineSpec`], the one construction surface.
     ///
     /// # Panics
     ///
@@ -237,49 +203,6 @@ impl InferenceEngine {
             fused_sampling: spec.fused_sampling,
             epsilon_per_sample,
         }
-    }
-
-    /// Creates an engine serving the seed-rebuilt `spec` under `policy` on `workers` pool
-    /// threads (the synthetic-posterior path). Deprecated shim: prefer
-    /// [`InferenceEngine::build`] with an [`EngineSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero or the policy's `max_batch` is zero.
-    pub fn new(spec: ModelSpec, policy: BatchPolicy, workers: usize) -> InferenceEngine {
-        InferenceEngine::build(EngineSpec::new(spec).policy(policy).workers(workers))
-    }
-
-    /// Creates an engine serving any [`ModelSource`] — the checkpoint path: sources loaded
-    /// from a `bnn-store` registry serve (and hot-swap) trained posteriors rather than
-    /// seed-synthesized ones. Deprecated shim: prefer [`InferenceEngine::build`] with an
-    /// [`EngineSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero or the policy's `max_batch` is zero.
-    pub fn from_source(
-        source: ModelSource,
-        policy: BatchPolicy,
-        workers: usize,
-    ) -> InferenceEngine {
-        InferenceEngine::build(EngineSpec::new(source).policy(policy).workers(workers))
-    }
-
-    /// Creates an engine serving any [`ModelSource`] under an explicit [`ServeMode`]. The
-    /// mode is engine-wide: hot-swaps replace the *posterior*, never the backend.
-    /// Deprecated shim: prefer [`InferenceEngine::build`] with an [`EngineSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `workers` is zero or the policy's `max_batch` is zero.
-    pub fn from_source_with_mode(
-        source: ModelSource,
-        mode: ServeMode,
-        policy: BatchPolicy,
-        workers: usize,
-    ) -> InferenceEngine {
-        InferenceEngine::build(EngineSpec::new(source).mode(mode).policy(policy).workers(workers))
     }
 
     /// The served model's source (version 0; swaps are per-run, not engine state).
@@ -314,147 +237,96 @@ impl InferenceEngine {
         service_cost(self.mode, self.epsilon_per_sample, samples)
     }
 
-    /// Serves a request trace: plans batches, computes tick-domain timing, and executes every
-    /// request's `S` sampled forward passes on the pool (one posterior replica per worker).
+    /// Serves a request trace: batches it, times the batches on the simulated device, and
+    /// executes every request on the pool (one posterior replica per worker). A request
+    /// with `samples == 0` is answered by one analytic moment pass, priced at moment cost,
+    /// in either mode.
     ///
     /// # Panics
     ///
-    /// Panics when the trace is not sorted by arrival tick, a request's input shape does not
-    /// match the model, or a request asks for zero samples.
+    /// Panics when the trace is not sorted by arrival tick or a request's input shape does
+    /// not match the model.
     pub fn run(&self, requests: &[InferRequest]) -> ServeRunReport {
-        self.run_with_swaps(requests, &[])
+        self.run_traced(requests, &[], &mut NullRecorder)
     }
 
-    /// Serves a request trace with scheduled **hot-swaps**: batches that start service at or
-    /// after a swap's `at_tick` are answered by the swapped-in posterior; earlier batches
-    /// drain on the prior version. No request is dropped at a swap — the trace is answered
-    /// end to end, and the version boundary is a deterministic function of (trace, policy,
-    /// swap schedule), never of worker count or wall clock.
+    /// [`InferenceEngine::run`] with scheduled **hot-swaps** and structured tracing.
     ///
-    /// Every worker materializes a private replica of each version it actually serves
-    /// (lazily, at most once per version per worker), so responses stay byte-identical
-    /// across worker counts with any swap schedule.
+    /// A batch is answered by the newest version whose `at_tick` is at or before the batch's
+    /// service start; earlier batches drain on the prior version. No request is dropped at a
+    /// swap, and the boundary is a deterministic function of (trace, policy, swap schedule),
+    /// never of worker count or wall clock. Every worker materializes a private replica of
+    /// each version it actually serves (lazily, at most once per version per worker).
+    ///
+    /// Each batch's close, dispatch and completion are recorded as tick-stamped [`Event`]s
+    /// keyed by the member requests' ids, plus one [`Event::BatchSeal`] per batch for
+    /// occupancy metrics. The recorder never influences the run, so responses, latencies and
+    /// batch stats are byte-identical to an untraced run.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`InferenceEngine::run`], or when `swaps` is not
     /// sorted by `at_tick`.
-    pub fn run_with_swaps(
-        &self,
-        requests: &[InferRequest],
-        swaps: &[VersionSwap],
-    ) -> ServeRunReport {
-        self.run_with_slowdowns(requests, swaps, &[])
-    }
-
-    /// [`InferenceEngine::run_with_swaps`] under fault-injected [`Slowdown`] windows:
-    /// batches whose service starts inside a window take `multiplier ×` their normal service
-    /// time (the multiplier is decided at the start tick; overlapping windows take the max).
-    /// Responses are untouched — a slow device answers late, not differently — so only batch
-    /// timing, latencies and the makespan move. With empty `slowdowns` this *is*
-    /// `run_with_swaps`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`InferenceEngine::run_with_swaps`].
-    pub fn run_with_slowdowns(
-        &self,
-        requests: &[InferRequest],
-        swaps: &[VersionSwap],
-        slowdowns: &[Slowdown],
-    ) -> ServeRunReport {
-        self.run_recorded(requests, swaps, slowdowns, 0, &mut NullRecorder)
-    }
-
-    /// [`InferenceEngine::run`] with structured tracing: each batch's close, dispatch and
-    /// completion are recorded as tick-stamped [`Event`]s keyed by the member requests' ids,
-    /// plus one [`Event::BatchSeal`] per batch for occupancy metrics. The recorder observes
-    /// the exact same timing the report carries — it never influences it — so responses,
-    /// latencies and batch stats are byte-identical to an untraced run (the obs benchmark
-    /// asserts this equivalence on every run).
     pub fn run_traced<R: Recorder>(
         &self,
         requests: &[InferRequest],
         swaps: &[VersionSwap],
         rec: &mut R,
     ) -> ServeRunReport {
-        self.run_recorded(requests, swaps, &[], 0, rec)
+        let mut schedule =
+            BatchSchedule::new(self.policy, self.mode, self.epsilon_per_sample, swaps, &[]);
+        let mut previous_arrival = 0;
+        for (i, request) in requests.iter().enumerate() {
+            assert!(
+                request.arrival_tick >= previous_arrival,
+                "request trace must be sorted by arrival_tick (index {i})"
+            );
+            previous_arrival = request.arrival_tick;
+            schedule.admit(request.samples, request.arrival_tick);
+        }
+        schedule.finish();
+        self.execute(requests, swaps, schedule, 0, rec)
     }
 
-    /// The one serving body every `run*` entry point delegates to, generic over the
-    /// [`Recorder`]. `shard` is stamped into emitted events (single-engine callers pass 0);
-    /// recording happens in the sequential timing loop on the calling thread, never on pool
-    /// workers, so recorded streams are identical at any worker count.
-    pub(crate) fn run_recorded<R: Recorder>(
+    /// Answers a filled schedule: `requests[i]` is its `i`-th admission, carrying the tick
+    /// it was admitted at and the sample count it was priced at, and `swaps` are the versions
+    /// the schedule was built with. Batch events are stamped with `shard` and recorded on
+    /// the calling thread, never on pool workers, so recorded streams are identical at any
+    /// worker count.
+    pub(crate) fn execute<R: Recorder>(
         &self,
         requests: &[InferRequest],
         swaps: &[VersionSwap],
-        slowdowns: &[Slowdown],
+        schedule: BatchSchedule,
         shard: usize,
         rec: &mut R,
     ) -> ServeRunReport {
-        for pair in swaps.windows(2) {
-            assert!(pair[0].at_tick <= pair[1].at_tick, "swap schedule must be sorted by at_tick");
-        }
-        // Version table: index 0 is the engine's own source, i ≥ 1 the (i−1)-th swap.
-        let sources: Vec<&ModelSource> =
-            std::iter::once(&self.source).chain(swaps.iter().map(|s| &s.source)).collect();
-        let epsilon_counts: Vec<usize> = std::iter::once(self.epsilon_per_sample)
-            .chain(swaps.iter().map(|s| s.source.epsilon_count()))
-            .collect();
-
-        let plans = plan_batches(requests, self.policy);
-
-        // Tick-domain timing: the simulated device serves batches in close order, one at a
-        // time — queueing delay emerges when arrivals outpace service. The active version of
-        // a batch is decided at its service start tick (swap deterministically "lands"
-        // between batches), and its ε volume prices the batch's service time.
-        let mut batches = Vec::with_capacity(plans.len());
+        debug_assert_eq!(
+            requests.len(),
+            schedule.batches().iter().map(|b| b.size).sum::<usize>(),
+            "the schedule holds exactly the requests being answered"
+        );
         let mut latencies = vec![0u64; requests.len()];
         let mut version_of = vec![0usize; requests.len()];
-        let mut device_free: u64 = 0;
-        for plan in &plans {
-            let start_tick = plan.close_tick.max(device_free);
-            let version = swaps.iter().take_while(|s| s.at_tick <= start_tick).count();
-            let service: u64 = BATCH_OVERHEAD_TICKS
-                + plan
-                    .requests
-                    .iter()
-                    .map(|&i| {
-                        request_service_cost(
-                            self.mode,
-                            epsilon_counts[version],
-                            requests[i].samples,
-                        )
-                    })
-                    .sum::<u64>();
-            let end_tick = start_tick + slow_multiplier(slowdowns, start_tick) * service;
-            device_free = end_tick;
+        for (batch, members) in schedule.batch_members() {
             if R::ENABLED {
                 rec.record(Event::BatchSeal {
                     shard,
-                    close_tick: plan.close_tick,
-                    members: plan.requests.len(),
-                    version,
+                    close_tick: batch.close_tick,
+                    members: batch.size,
+                    version: batch.version,
                 });
             }
-            for &i in &plan.requests {
-                latencies[i] = end_tick - requests[i].arrival_tick;
-                version_of[i] = version;
+            for i in members {
+                latencies[i] = batch.end_tick - requests[i].arrival_tick;
+                version_of[i] = batch.version;
                 if R::ENABLED {
                     let request = requests[i].id;
-                    rec.record(Event::BatchClose { request, shard, tick: plan.close_tick });
-                    rec.record(Event::Dispatch { request, shard, tick: start_tick });
-                    rec.record(Event::ComputeDone { request, shard, tick: end_tick });
+                    rec.record(Event::BatchClose { request, shard, tick: batch.close_tick });
+                    rec.record(Event::Dispatch { request, shard, tick: batch.start_tick });
+                    rec.record(Event::ComputeDone { request, shard, tick: batch.end_tick });
                 }
             }
-            batches.push(BatchStat {
-                close_tick: plan.close_tick,
-                start_tick,
-                end_tick,
-                size: plan.requests.len(),
-                version,
-            });
         }
 
         // Execution: requests fan out over the pool; each worker materializes one replica
@@ -462,6 +334,9 @@ impl InferenceEngine {
         // (completion order cannot leak into the report). Materializing the owned
         // per-request responses necessarily allocates their vectors; the zero-allocation
         // contract covers the compute path (`answer_into`) itself.
+        // Version table: index 0 is the engine's own source, i ≥ 1 the (i−1)-th swap.
+        let sources: Vec<&ModelSource> =
+            std::iter::once(&self.source).chain(swaps.iter().map(|s| &s.source)).collect();
         let sources = &sources;
         let version_of = &version_of;
         let mode = self.mode;
@@ -494,43 +369,9 @@ impl InferenceEngine {
             workers: self.workers,
             responses,
             latencies,
-            batches,
-            makespan_ticks: device_free,
+            makespan_ticks: schedule.makespan(),
+            batches: schedule.into_batches(),
         }
-    }
-}
-
-/// Simulated per-request service cost (shared with the cluster simulator, whose shard timing
-/// must mirror the engine's batch pricing exactly):
-///
-/// * **Monte-Carlo** — one setup tick plus the GRNG-bound ε generation time of `samples`
-///   forward passes drawing `epsilon_per_sample` values each;
-/// * **Moment** — one setup tick plus **two** weight-wide streaming passes (mean + variance
-///   GEMM traffic over the same `epsilon_per_sample` weights), independent of the request's
-///   `samples` and with no GRNG serialization at all. A moment shard therefore consumes no
-///   ε budget.
-pub(crate) fn service_cost(mode: ServeMode, epsilon_per_sample: usize, samples: usize) -> u64 {
-    match mode {
-        ServeMode::MonteCarlo => {
-            1 + (samples as u64 * epsilon_per_sample as u64).div_ceil(EPSILON_LANES)
-        }
-        ServeMode::Moment => 1 + (2 * epsilon_per_sample as u64).div_ceil(EPSILON_LANES),
-    }
-}
-
-/// [`service_cost`] with the graceful-degradation sentinel: in a Monte-Carlo engine,
-/// `samples == 0` marks a request the degradation ladder downgraded to the single-pass
-/// analytic backend, so it is priced (and executed — see [`ServeReplica::answer_into`]) at
-/// moment cost. Every other `(mode, samples)` pair prices exactly as before.
-pub(crate) fn request_service_cost(
-    mode: ServeMode,
-    epsilon_per_sample: usize,
-    samples: usize,
-) -> u64 {
-    if mode == ServeMode::MonteCarlo && samples == 0 {
-        service_cost(ServeMode::Moment, epsilon_per_sample, 0)
-    } else {
-        service_cost(mode, epsilon_per_sample, samples)
     }
 }
 
@@ -582,37 +423,16 @@ impl std::fmt::Debug for ServeReplica {
 }
 
 impl ServeReplica {
-    /// Builds a replica from a declarative [`EngineSpec`] — the single construction surface
-    /// since PR 8; the spec's policy/worker fields are engine-level and ignored here.
+    /// Builds a replica from a declarative [`EngineSpec`], the one construction surface; the
+    /// spec's policy/worker fields are engine-level and ignored here.
     pub fn build(spec: &EngineSpec) -> ServeReplica {
         ServeReplica::with_options(&spec.source, spec.mode, spec.kernel, spec.fused_sampling)
     }
 
-    /// Builds a Monte-Carlo replica for `spec` (deterministic in the spec, like
-    /// [`ModelSpec::build`]). Deprecated shim: prefer [`ServeReplica::build`] with an
-    /// [`EngineSpec`].
-    pub fn new(spec: &ModelSpec) -> ServeReplica {
-        ServeReplica::from_source(&ModelSource::Spec(spec.clone()))
-    }
-
-    /// Builds a Monte-Carlo replica for any [`ModelSource`] — seed-rebuilt or
-    /// checkpoint-materialized (deterministic in the source either way). Deprecated shim:
-    /// prefer [`ServeReplica::build`] with an [`EngineSpec`].
-    pub fn from_source(source: &ModelSource) -> ServeReplica {
-        ServeReplica::from_source_with_mode(source, ServeMode::MonteCarlo)
-    }
-
-    /// Builds a replica for any [`ModelSource`] under an explicit [`ServeMode`]
-    /// (deterministic in `(source, mode)`). Deprecated shim: prefer [`ServeReplica::build`]
-    /// with an [`EngineSpec`].
-    pub fn from_source_with_mode(source: &ModelSource, mode: ServeMode) -> ServeReplica {
-        ServeReplica::with_options(source, mode, KernelConfig::default(), true)
-    }
-
-    /// The full-option constructor every other constructor funnels into: posterior source,
-    /// backend, kernel configuration for the replica's layer stack, and the fused-sampling
-    /// switch. Deterministic in `(source, mode)` alone — `kernel` (bit-exact tiers) and
-    /// `fused` change speed, never bytes.
+    /// The full-option constructor [`ServeReplica::build`] and the engine's per-version
+    /// replicas funnel into: posterior source, backend, kernel configuration for the
+    /// replica's layer stack, and the fused-sampling switch. Deterministic in `(source,
+    /// mode)` alone — `kernel` (bit-exact tiers) and `fused` change speed, never bytes.
     pub(crate) fn with_options(
         source: &ModelSource,
         mode: ServeMode,
@@ -746,18 +566,23 @@ fn finish_response(predictive: &Predictive, request: &InferRequest, response: &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::{request_service_cost, Slowdown};
+    use crate::spec::ModelSpec;
     use crate::workload::WorkloadSpec;
 
     fn small_trace(spec: &ModelSpec) -> Vec<InferRequest> {
         WorkloadSpec::uniform(10, 2, 3, 99).generate(spec)
     }
 
+    fn engine(spec: &ModelSpec, policy: BatchPolicy, workers: usize) -> InferenceEngine {
+        InferenceEngine::build(EngineSpec::new(spec.clone()).policy(policy).workers(workers))
+    }
+
     #[test]
     fn run_produces_one_response_per_request_in_order() {
         let spec = ModelSpec::mlp(5);
-        let engine = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 1);
         let trace = small_trace(&spec);
-        let report = engine.run(&trace);
+        let report = engine(&spec, BatchPolicy::unbatched(), 1).run(&trace);
         assert_eq!(report.responses.len(), trace.len());
         for (request, response) in trace.iter().zip(&report.responses) {
             assert_eq!(request.id, response.id);
@@ -771,14 +596,8 @@ mod tests {
     fn tick_model_amortizes_batch_overhead() {
         let spec = ModelSpec::mlp(5);
         let trace = small_trace(&spec);
-        let unbatched = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 1);
-        let coalesced = InferenceEngine::new(
-            spec.clone(),
-            BatchPolicy { max_batch: 10, max_wait_ticks: 64 },
-            1,
-        );
-        let a = unbatched.run(&trace);
-        let b = coalesced.run(&trace);
+        let a = engine(&spec, BatchPolicy::unbatched(), 1).run(&trace);
+        let b = engine(&spec, BatchPolicy { max_batch: 10, max_wait_ticks: 64 }, 1).run(&trace);
         // Same total work, fewer overhead payments: the coalesced makespan must be smaller.
         assert!(b.makespan_ticks < a.makespan_ticks);
         assert!(b.throughput_per_kilotick() > a.throughput_per_kilotick());
@@ -788,9 +607,8 @@ mod tests {
     #[test]
     fn batch_timing_respects_device_serialization() {
         let spec = ModelSpec::mlp(5);
-        let engine =
-            InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 2, max_wait_ticks: 4 }, 1);
-        let report = engine.run(&small_trace(&spec));
+        let policy = BatchPolicy { max_batch: 2, max_wait_ticks: 4 };
+        let report = engine(&spec, policy, 1).run(&small_trace(&spec));
         for pair in report.batches.windows(2) {
             assert!(pair[1].start_tick >= pair[0].end_tick, "batches overlap on the device");
             assert!(pair[1].start_tick >= pair[1].close_tick, "service before close");
@@ -801,9 +619,8 @@ mod tests {
     #[test]
     fn latency_percentiles_are_ordered() {
         let spec = ModelSpec::mlp(5);
-        let engine =
-            InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 4, max_wait_ticks: 8 }, 2);
-        let report = engine.run(&small_trace(&spec));
+        let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
+        let report = engine(&spec, policy, 2).run(&small_trace(&spec));
         let (p50, p95, p99) = (
             report.latency_percentile(0.50),
             report.latency_percentile(0.95),
@@ -815,7 +632,7 @@ mod tests {
 
     #[test]
     fn service_cost_scales_with_samples() {
-        let engine = InferenceEngine::new(ModelSpec::lenet(5), BatchPolicy::unbatched(), 1);
+        let engine = engine(&ModelSpec::lenet(5), BatchPolicy::unbatched(), 1);
         assert!(engine.epsilon_per_sample() > 0);
         let one = engine.service_cost_ticks(1);
         let many = engine.service_cost_ticks(64);
@@ -825,7 +642,7 @@ mod tests {
     #[test]
     fn responses_digest_tracks_response_content() {
         let spec = ModelSpec::mlp(5);
-        let engine = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 1);
+        let engine = engine(&spec, BatchPolicy::unbatched(), 1);
         let trace_a = small_trace(&spec);
         let a = engine.run(&trace_a);
         assert_eq!(a.responses_digest().len(), 16);
@@ -836,30 +653,20 @@ mod tests {
     }
 
     #[test]
-    fn slow_multiplier_takes_the_max_overlapping_window() {
-        let windows = [
-            Slowdown { from_tick: 10, until_tick: 20, multiplier: 2 },
-            Slowdown { from_tick: 15, until_tick: 30, multiplier: 5 },
-        ];
-        assert_eq!(slow_multiplier(&windows, 9), 1, "before every window");
-        assert_eq!(slow_multiplier(&windows, 10), 2, "from_tick is inclusive");
-        assert_eq!(slow_multiplier(&windows, 17), 5, "overlap takes the max");
-        assert_eq!(slow_multiplier(&windows, 20), 5, "until_tick is exclusive");
-        assert_eq!(slow_multiplier(&windows, 30), 1, "after every window");
-    }
-
-    #[test]
     fn slowdown_windows_stretch_timing_but_not_bytes() {
         let spec = ModelSpec::mlp(5);
-        let engine =
-            InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 2, max_wait_ticks: 4 }, 1);
+        let policy = BatchPolicy { max_batch: 2, max_wait_ticks: 4 };
+        let engine = engine(&spec, policy, 1);
         let trace = small_trace(&spec);
         let healthy = engine.run(&trace);
-        let slow = engine.run_with_slowdowns(
-            &trace,
-            &[],
-            &[Slowdown { from_tick: 0, until_tick: u64::MAX, multiplier: 3 }],
-        );
+        let window = Slowdown { from_tick: 0, until_tick: u64::MAX, multiplier: 3 };
+        let epsilon = engine.epsilon_per_sample();
+        let mut schedule = BatchSchedule::new(policy, engine.mode(), epsilon, &[], &[window]);
+        for request in &trace {
+            schedule.admit(request.samples, request.arrival_tick);
+        }
+        schedule.finish();
+        let slow = engine.execute(&trace, &[], schedule, 0, &mut NullRecorder);
         assert!(slow.makespan_ticks > healthy.makespan_ticks);
         for (batch, healthy_batch) in slow.batches.iter().zip(&healthy.batches) {
             assert_eq!(
@@ -875,8 +682,8 @@ mod tests {
     fn zero_sample_requests_answer_analytically_in_a_monte_carlo_replica() {
         let spec = ModelSpec::mlp(5);
         let source = ModelSource::Spec(spec.clone());
-        let mut mc = ServeReplica::from_source(&source);
-        let mut moment = ServeReplica::from_source_with_mode(&source, ServeMode::Moment);
+        let mut mc = ServeReplica::build(&EngineSpec::new(source.clone()));
+        let mut moment = ServeReplica::build(&EngineSpec::new(source).mode(ServeMode::Moment));
         let mut request = small_trace(&spec).remove(0);
         request.samples = 0;
         let mut degraded = InferResponse {
@@ -900,8 +707,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_an_empty_report() {
-        let engine = InferenceEngine::new(ModelSpec::mlp(5), BatchPolicy::unbatched(), 2);
-        let report = engine.run(&[]);
+        let report = engine(&ModelSpec::mlp(5), BatchPolicy::unbatched(), 2).run(&[]);
         assert!(report.responses.is_empty());
         assert_eq!(report.makespan_ticks, 0);
         assert_eq!(report.throughput_per_kilotick(), 0.0);
@@ -909,5 +715,14 @@ mod tests {
         // Serialization must not trip the percentile assert on an empty run.
         let json = report.to_json().to_compact();
         assert!(json.contains("\"p50\":null"));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by arrival_tick")]
+    fn unsorted_trace_is_rejected() {
+        let spec = ModelSpec::mlp(5);
+        let mut trace = small_trace(&spec);
+        trace.swap(0, 1);
+        engine(&spec, BatchPolicy::unbatched(), 1).run(&trace);
     }
 }

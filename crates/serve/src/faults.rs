@@ -4,7 +4,7 @@
 //!
 //! A [`FaultPlan`] schedules [`FaultEvent`]s at exact ticks and travels with a trace into
 //! [`Cluster::plan_with_faults`](crate::Cluster::plan_with_faults) /
-//! [`Cluster::run_with_faults`](crate::Cluster::run_with_faults). Everything the router does
+//! [`Cluster::run_traced`](crate::Cluster::run_traced). Everything the router does
 //! in response stays a pure function of (trace, config, swap schedule, fault plan), so a
 //! faulted run serializes byte-identically at any shard × worker count, exactly like a
 //! healthy one.
@@ -21,13 +21,13 @@
 //! router simply routes around it; if *every* routable shard is down, arrivals retry too, and
 //! shed with [`ShedReason::ShardUnavailable`](crate::ShedReason) as the last resort.
 //!
-//! Drawing the crash at the dispatch boundary is what keeps phase A (the plan) and phase B
-//! (real engines) batch-for-batch identical under faults: evicted requests never appear in a
-//! shard's final sub-trace, so the engine replays exactly the batches the plan committed.
-//! The retry schedule itself is deterministic because it lives in the tick domain — backoff
-//! is `min(base · 2^(attempt−1), max)` ticks from the observed failure tick, retries re-enter
-//! the arrival stream in (tick, schedule-order) order, and ties against fresh arrivals
-//! resolve in favour of the retry (it is the older request). No randomness, no wall clock.
+//! Drawing the crash at the dispatch boundary keeps a shard's schedule simple under faults:
+//! evicted requests leave it before any batch holds them, so the batches phase A (the plan)
+//! commits are exactly the batches phase B answers. The retry schedule itself is
+//! deterministic because it lives in the tick domain — backoff is `min(base · 2^(attempt−1),
+//! max)` ticks from the observed failure tick, retries re-enter the arrival stream in (tick,
+//! schedule-order) order, and ties against fresh arrivals resolve in favour of the retry (it
+//! is the older request). No randomness, no wall clock.
 //!
 //! # The degradation ladder
 //!
@@ -58,7 +58,7 @@
 //!
 //! [`Checkpoint::from_bytes`]: ../../bnn_store/struct.Checkpoint.html#method.from_bytes
 
-use crate::engine::Slowdown;
+use crate::batcher::Slowdown;
 use crate::spec::ServeMode;
 use shift_bnn::sweep::json::Json;
 

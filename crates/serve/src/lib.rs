@@ -37,11 +37,11 @@
 //! # Example
 //!
 //! ```
-//! use bnn_serve::{BatchPolicy, InferenceEngine, ModelSpec, WorkloadSpec};
+//! use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, WorkloadSpec};
 //!
 //! let spec = ModelSpec::mlp(2021);
 //! let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 16 };
-//! let engine = InferenceEngine::new(spec.clone(), policy, 2);
+//! let engine = InferenceEngine::build(EngineSpec::new(spec.clone()).policy(policy).workers(2));
 //! let trace = WorkloadSpec::uniform(12, 3, 4, 7).generate(&spec);
 //! let report = engine.run(&trace);
 //! assert_eq!(report.responses.len(), 12);
@@ -68,7 +68,7 @@ pub use cluster::{
     AutoscalePolicy, Cluster, ClusterConfig, ClusterPlan, ClusterRunReport, EscalationEvent,
     RequestOutcome, RoutingPolicy, ScaleEvent, ShardSwap, ShedEvent, ShedReason,
 };
-pub use engine::{InferenceEngine, ServeReplica, ServeRunReport, Slowdown, VersionSwap};
+pub use engine::{InferenceEngine, ServeReplica, ServeRunReport, VersionSwap};
 pub use faults::{
     CheckpointFaultEvent, DegradeEvent, DegradeLadder, DegradeLevel, FaultEvent, FaultPlan,
     FaultTrace, RetryEvent, RetryPolicy,

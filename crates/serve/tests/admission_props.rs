@@ -1,5 +1,5 @@
 //! Admission-control invariants, property-tested across random cluster shapes and arrival
-//! patterns. Everything here runs on [`Cluster::plan`] — the phase-A simulator that makes
+//! patterns. Everything here runs on [`Cluster::plan_with_faults`] — phase A, which makes
 //! every routing/admission decision without touching a network — so each case is cheap and
 //! the sampled space can be wide.
 //!
@@ -13,13 +13,16 @@
 //! * **monotone shedding** — at a fixed queue cap, slowing the arrival process down (larger
 //!   uniform interarrival gap) never sheds *more* requests.
 
-use bnn_serve::engine::BATCH_OVERHEAD_TICKS;
+use bnn_obs::NullRecorder;
 use bnn_serve::{
     ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterPlan, DegradeLadder, FaultEvent,
     FaultPlan, InferRequest, ModelSource, ModelSpec, RequestOutcome, RetryPolicy, RoutingPolicy,
     ServeMode, WorkloadSpec,
 };
 use proptest::prelude::*;
+
+/// Ticks every batch pays before any request in it completes (the tick model's overhead).
+const BATCH_OVERHEAD_TICKS: u64 = 64;
 
 /// Plans (never executes) a least-loaded cluster over a uniform trace. Inputs use a 1-element
 /// shape: phase A prices batches from ε volume and sample counts alone, so the tensor payload
@@ -46,7 +49,7 @@ fn plan_with_policy(
         routing: RoutingPolicy::LeastLoaded,
         autoscale: None,
     });
-    let plan = cluster.plan(&trace);
+    let plan = cluster.plan_with_faults(&trace, &[], &FaultPlan::none());
     (trace, plan)
 }
 
@@ -439,9 +442,8 @@ proptest! {
     }
 }
 
-/// The plan-side invariants above transfer to full runs: phase B asserts batch-for-batch
-/// timing equality with phase A internally, and this control arm checks conservation on a
-/// real executed report, escalations included.
+/// The plan-side invariants above transfer to full runs: this control arm checks
+/// conservation on a real executed report, escalations included.
 #[test]
 fn executed_two_tier_run_conserves_requests() {
     let spec = ModelSpec::mlp(2021);
@@ -459,7 +461,7 @@ fn executed_two_tier_run_conserves_requests() {
         routing: RoutingPolicy::TwoTier { low_samples: 1, high_samples: 6, entropy_threshold: 1.0 },
         autoscale: None,
     });
-    let report = cluster.run(&trace);
+    let report = cluster.run_traced(&trace, &[], &FaultPlan::none(), &mut NullRecorder);
     assert_eq!(report.answered() + report.sheds.len(), report.submitted());
     for (i, outcome) in report.outcomes.iter().enumerate() {
         match outcome {

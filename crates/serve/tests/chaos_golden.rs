@@ -9,6 +9,7 @@
 //! reduced-samples into moment mode), a corrupt checkpoint that cancels one of two
 //! scheduled hot-swaps, and a recovery that drains the backlog back to normal.
 
+use bnn_obs::NullRecorder;
 use bnn_serve::{
     ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, DegradeLadder, FaultEvent, FaultPlan,
     InferRequest, ModelSource, ModelSpec, RetryPolicy, RoutingPolicy, ServeMode, ShardSwap,
@@ -101,7 +102,7 @@ const GOLDEN_RESPONSES_DIGEST: &str = "43ba850c32cd9446";
 #[test]
 fn golden_chaos_events_land_on_pinned_ticks() {
     let (trace, cluster, swaps, faults) = chaos_scenario();
-    let report = cluster.run_with_faults(&trace, &swaps, &faults);
+    let report = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
 
     let retries = report
         .faults
@@ -149,7 +150,7 @@ fn golden_chaos_events_land_on_pinned_ticks() {
 fn golden_chaos_plan_matches_the_run_batch_for_batch() {
     let (trace, cluster, swaps, faults) = chaos_scenario();
     let plan = cluster.plan_with_faults(&trace, &swaps, &faults);
-    let report = cluster.run_with_faults(&trace, &swaps, &faults);
+    let report = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
     assert_eq!(plan.outcomes, report.outcomes);
     assert_eq!(plan.latencies, report.latencies);
     assert_eq!(plan.makespan_ticks, report.makespan_ticks);
@@ -168,10 +169,10 @@ fn golden_chaos_plan_matches_the_run_batch_for_batch() {
 #[test]
 fn golden_chaos_scenario_is_worker_and_rerun_invariant() {
     let (trace, cluster, swaps, faults) = chaos_scenario();
-    let first = cluster.run_with_faults(&trace, &swaps, &faults);
+    let first = cluster.run_traced(&trace, &swaps, &faults, &mut NullRecorder);
     let mut pooled_cfg = cluster.config().clone();
     pooled_cfg.workers_per_shard = 3;
-    let second = Cluster::new(pooled_cfg).run_with_faults(&trace, &swaps, &faults);
+    let second = Cluster::new(pooled_cfg).run_traced(&trace, &swaps, &faults, &mut NullRecorder);
     assert_eq!(first.to_json().to_compact(), second.to_json().to_compact());
     assert_eq!(first.fault_events_digest(), second.fault_events_digest());
     assert_eq!(first.responses_digest(), second.responses_digest());

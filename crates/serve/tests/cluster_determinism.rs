@@ -13,9 +13,11 @@
 //!    adversarial scenario is hardcoded below; any change to routing, admission or batching
 //!    arithmetic trips it.
 
+use bnn_obs::NullRecorder;
 use bnn_serve::{
-    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, InferRequest, InferenceEngine,
-    ModelSource, ModelSpec, RequestOutcome, RoutingPolicy, ServeMode, WorkloadSpec,
+    ArrivalProcess, BatchPolicy, Cluster, ClusterConfig, ClusterRunReport, EngineSpec, FaultPlan,
+    InferRequest, InferenceEngine, ModelSource, ModelSpec, RequestOutcome, RoutingPolicy,
+    ServeMode, WorkloadSpec,
 };
 
 const WEIGHT_SEED: u64 = 2021;
@@ -36,6 +38,16 @@ fn config(shards: usize, routing: RoutingPolicy) -> ClusterConfig {
         routing,
         autoscale: None,
     }
+}
+
+/// An untraced healthy, swap-free run.
+fn run(cluster: &Cluster, trace: &[InferRequest]) -> ClusterRunReport {
+    cluster.run_traced(trace, &[], &FaultPlan::none(), &mut NullRecorder)
+}
+
+/// A bare engine serving the cluster's posterior under its batch policy.
+fn bare_engine(cfg: &ClusterConfig, workers: usize) -> InferenceEngine {
+    InferenceEngine::build(EngineSpec::new(cfg.source.clone()).policy(cfg.batch).workers(workers))
 }
 
 fn bursty_trace(requests: usize) -> Vec<InferRequest> {
@@ -61,8 +73,8 @@ fn reports_are_byte_identical_across_worker_counts() {
         single.workers_per_shard = 1;
         let mut pooled = config(3, routing);
         pooled.workers_per_shard = 4;
-        let a = Cluster::new(single).run(&trace);
-        let b = Cluster::new(pooled).run(&trace);
+        let a = run(&Cluster::new(single), &trace);
+        let b = run(&Cluster::new(pooled), &trace);
         assert_eq!(
             a.to_json().to_pretty(),
             b.to_json().to_pretty(),
@@ -78,8 +90,8 @@ fn reports_are_byte_identical_across_worker_counts() {
 fn repeated_runs_are_byte_identical() {
     let trace = bursty_trace(24);
     let cluster = Cluster::new(config(2, RoutingPolicy::LeastLoaded));
-    let a = cluster.run(&trace);
-    let b = cluster.run(&trace);
+    let a = run(&cluster, &trace);
+    let b = run(&cluster, &trace);
     assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
 }
 
@@ -107,15 +119,14 @@ fn admitted_sub_trace(
 fn each_shard_equals_a_standalone_engine_on_its_sub_trace() {
     let cfg = config(3, RoutingPolicy::LeastLoaded);
     let trace = bursty_trace(42);
-    let report = Cluster::new(cfg.clone()).run(&trace);
+    let report = run(&Cluster::new(cfg.clone()), &trace);
     assert!(report.answered() > 0);
 
     for shard in 0..cfg.shards {
         let sub_trace = admitted_sub_trace(&trace, &report.outcomes, shard);
         // A bare engine over the routed sub-trace reproduces the shard's slice of the
         // cluster report exactly — answers, latencies, batch timing, everything.
-        let engine = InferenceEngine::from_source(cfg.source.clone(), cfg.batch, 2);
-        let solo = engine.run(&sub_trace);
+        let solo = bare_engine(&cfg, 2).run(&sub_trace);
         assert_eq!(
             solo.to_json().to_pretty(),
             report.shard_reports[shard].to_json().to_pretty(),
@@ -128,7 +139,7 @@ fn each_shard_equals_a_standalone_engine_on_its_sub_trace() {
 fn each_shard_equals_a_standalone_single_shard_cluster() {
     let cfg = config(4, RoutingPolicy::RoundRobin);
     let trace = bursty_trace(40);
-    let report = Cluster::new(cfg.clone()).run(&trace);
+    let report = run(&Cluster::new(cfg.clone()), &trace);
 
     for shard in 0..cfg.shards {
         let sub_trace = admitted_sub_trace(&trace, &report.outcomes, shard);
@@ -136,7 +147,7 @@ fn each_shard_equals_a_standalone_single_shard_cluster() {
         // cluster over it sheds nothing and reproduces the same answers and ticks.
         let mut solo_cfg = cfg.clone();
         solo_cfg.shards = 1;
-        let solo = Cluster::new(solo_cfg).run(&sub_trace);
+        let solo = run(&Cluster::new(solo_cfg), &sub_trace);
         assert!(solo.sheds.is_empty(), "shard {shard}: replaying admitted requests cannot shed");
         assert_eq!(
             solo.shard_reports[0].to_json().to_pretty(),
@@ -150,10 +161,9 @@ fn each_shard_equals_a_standalone_single_shard_cluster() {
 fn single_shard_cluster_equals_the_bare_engine() {
     let cfg = ClusterConfig { queue_cap: 1_000, ..config(1, RoutingPolicy::LeastLoaded) };
     let trace = bursty_trace(30);
-    let report = Cluster::new(cfg.clone()).run(&trace);
+    let report = run(&Cluster::new(cfg.clone()), &trace);
     assert!(report.sheds.is_empty(), "an unbounded single shard admits everything");
-    let engine = InferenceEngine::from_source(cfg.source, cfg.batch, 3);
-    let solo = engine.run(&trace);
+    let solo = bare_engine(&cfg, 3).run(&trace);
     assert_eq!(solo.to_json().to_pretty(), report.shard_reports[0].to_json().to_pretty());
     assert_eq!(solo.latencies, report.latencies);
     assert_eq!(solo.makespan_ticks, report.makespan_ticks);
@@ -199,7 +209,7 @@ const GOLDEN_RESPONSES_DIGEST: &str = "e6cffdb989d73aba";
 #[test]
 fn golden_sheds_and_escalations_land_on_pinned_ticks() {
     let (trace, cluster) = golden_scenario();
-    let report = cluster.run(&trace);
+    let report = run(&cluster, &trace);
 
     let sheds = report
         .sheds
@@ -225,10 +235,10 @@ fn golden_sheds_and_escalations_land_on_pinned_ticks() {
 #[test]
 fn golden_scenario_is_worker_and_rerun_invariant() {
     let (trace, cluster) = golden_scenario();
-    let first = cluster.run(&trace);
+    let first = run(&cluster, &trace);
     let mut pooled_cfg = cluster.config().clone();
     pooled_cfg.workers_per_shard = 3;
-    let second = Cluster::new(pooled_cfg).run(&trace);
+    let second = run(&Cluster::new(pooled_cfg), &trace);
     assert_eq!(first.events_digest(), second.events_digest());
     assert_eq!(first.responses_digest(), second.responses_digest());
 }

@@ -1,4 +1,4 @@
-//! Determinism contract of posterior **hot-swapping** ([`InferenceEngine::run_with_swaps`]):
+//! Determinism contract of posterior **hot-swapping** ([`InferenceEngine::run_traced`]):
 //!
 //! 1. no request is dropped — the swapped run answers the whole trace;
 //! 2. the swap boundary is deterministic in the tick domain: every batch that starts service
@@ -8,13 +8,27 @@
 //! 3. a mid-stream swap changes answers **only** from the boundary onward;
 //! 4. all of the above is invariant across worker counts.
 
+use bnn_obs::NullRecorder;
 use bnn_serve::{
-    BatchPolicy, CheckpointReplica, InferenceEngine, ModelSource, ModelSpec, VersionSwap,
-    WorkloadSpec,
+    BatchPolicy, CheckpointReplica, EngineSpec, InferRequest, InferenceEngine, ModelSource,
+    ModelSpec, ServeRunReport, VersionSwap, WorkloadSpec,
 };
 
-fn trace(spec: &ModelSpec, requests: usize) -> Vec<bnn_serve::InferRequest> {
+fn trace(spec: &ModelSpec, requests: usize) -> Vec<InferRequest> {
     WorkloadSpec::uniform(requests, 4, 3, 404).generate(spec)
+}
+
+fn build(source: impl Into<ModelSource>, policy: BatchPolicy, workers: usize) -> InferenceEngine {
+    InferenceEngine::build(EngineSpec::new(source).policy(policy).workers(workers))
+}
+
+/// An untraced run under `swaps`.
+fn run_with_swaps(
+    engine: &InferenceEngine,
+    requests: &[InferRequest],
+    swaps: &[VersionSwap],
+) -> ServeRunReport {
+    engine.run_traced(requests, swaps, &mut NullRecorder)
 }
 
 /// Two distinct posteriors of the same architecture (different weight seeds).
@@ -29,10 +43,13 @@ fn swap_splits_the_trace_at_a_deterministic_tick_boundary() {
     let (v1, v2) = two_versions();
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
     let requests = trace(&v1, 32);
-    let engine = InferenceEngine::new(v1.clone(), policy, 2);
+    let engine = build(v1.clone(), policy, 2);
     let swap_tick = 60;
-    let swapped =
-        engine.run_with_swaps(&requests, &[VersionSwap { at_tick: swap_tick, source: v2.clone() }]);
+    let swapped = run_with_swaps(
+        &engine,
+        &requests,
+        &[VersionSwap { at_tick: swap_tick, source: v2.clone() }],
+    );
 
     // Every request is answered, in order.
     assert_eq!(swapped.responses.len(), requests.len());
@@ -57,7 +74,7 @@ fn swap_splits_the_trace_at_a_deterministic_tick_boundary() {
 
     // Per-request responses match the corresponding single-version run on each side.
     let old_only = engine.run(&requests);
-    let new_only = InferenceEngine::from_source(v2, policy, 2).run(&requests);
+    let new_only = build(v2, policy, 2).run(&requests);
     for (i, response) in swapped.responses.iter().enumerate() {
         let expected = if swapped.batches[batch_index_of(&swapped, i)].version == 0 {
             &old_only
@@ -87,7 +104,7 @@ fn swap_splits_the_trace_at_a_deterministic_tick_boundary() {
 
 /// Index of the batch that served request `i` (batches partition the request indices in
 /// arrival order, so a running size count locates the member batch).
-fn batch_index_of(report: &bnn_serve::ServeRunReport, i: usize) -> usize {
+fn batch_index_of(report: &ServeRunReport, i: usize) -> usize {
     let mut running = 0usize;
     for (bi, batch) in report.batches.iter().enumerate() {
         if i < running + batch.size {
@@ -104,10 +121,9 @@ fn swapped_runs_are_worker_invariant() {
     let policy = BatchPolicy { max_batch: 3, max_wait_ticks: 10 };
     let requests = trace(&v1, 24);
     let swaps = vec![VersionSwap { at_tick: 50, source: v2 }];
-    let baseline = InferenceEngine::new(v1.clone(), policy, 1).run_with_swaps(&requests, &swaps);
+    let baseline = run_with_swaps(&build(v1.clone(), policy, 1), &requests, &swaps);
     for workers in [2, 3, 8] {
-        let parallel =
-            InferenceEngine::new(v1.clone(), policy, workers).run_with_swaps(&requests, &swaps);
+        let parallel = run_with_swaps(&build(v1.clone(), policy, workers), &requests, &swaps);
         assert_eq!(
             baseline.responses_json(),
             parallel.responses_json(),
@@ -132,11 +148,12 @@ fn swap_to_a_checkpoint_source_answers_with_the_loaded_posterior() {
     .unwrap();
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 6 };
     let requests = trace(&v1, 20);
-    let swapped = InferenceEngine::new(v1, policy, 2).run_with_swaps(
+    let swapped = run_with_swaps(
+        &build(v1, policy, 2),
         &requests,
         &[VersionSwap { at_tick: 40, source: ModelSource::Checkpoint(checkpoint) }],
     );
-    let v2_only = InferenceEngine::new(v2_spec, policy, 2).run(&requests);
+    let v2_only = build(v2_spec, policy, 2).run(&requests);
     for (i, batch_version) in
         (0..requests.len()).map(|i| (i, swapped.batches[batch_index_of(&swapped, i)].version))
     {
@@ -151,12 +168,12 @@ fn swap_to_a_checkpoint_source_answers_with_the_loaded_posterior() {
 fn unsorted_swap_schedules_are_rejected() {
     let (v1, v2) = two_versions();
     let requests = trace(&v1, 4);
-    let engine = InferenceEngine::new(v1.clone(), BatchPolicy::unbatched(), 1);
+    let engine = build(v1.clone(), BatchPolicy::unbatched(), 1);
     let swaps = vec![
         VersionSwap { at_tick: 50, source: v2.clone() },
         VersionSwap { at_tick: 10, source: v2 },
     ];
-    let result = std::panic::catch_unwind(|| engine.run_with_swaps(&requests, &swaps));
+    let result = std::panic::catch_unwind(|| run_with_swaps(&engine, &requests, &swaps));
     assert!(result.is_err(), "unsorted swap schedule must panic");
 }
 
@@ -165,9 +182,9 @@ fn runs_without_swaps_are_unchanged_by_the_swap_machinery() {
     let (v1, _) = two_versions();
     let policy = BatchPolicy { max_batch: 5, max_wait_ticks: 12 };
     let requests = trace(&v1, 16);
-    let engine = InferenceEngine::new(v1, policy, 2);
+    let engine = build(v1, policy, 2);
     let plain = engine.run(&requests);
-    let empty_swaps = engine.run_with_swaps(&requests, &[]);
+    let empty_swaps = run_with_swaps(&engine, &requests, &[]);
     assert_eq!(plain.responses_json(), empty_swaps.responses_json());
     assert_eq!(plain.batches, empty_swaps.batches);
     assert!(plain.batches.iter().all(|b| b.version == 0));

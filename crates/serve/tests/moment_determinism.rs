@@ -8,19 +8,23 @@
 //! 4. moment answers depend only on the request *input* — unlike Monte-Carlo, neither the
 //!    ε seed nor the requested sample count can change an analytic response.
 
-use bnn_serve::{BatchPolicy, InferenceEngine, ModelSource, ModelSpec, ServeMode, WorkloadSpec};
+use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, ServeMode, WorkloadSpec};
 
 fn trace(spec: &ModelSpec, requests: usize, samples: usize) -> Vec<bnn_serve::InferRequest> {
     WorkloadSpec::uniform(requests, 3, samples, 2021).generate(spec)
 }
 
+fn engine(
+    spec: &ModelSpec,
+    mode: ServeMode,
+    policy: BatchPolicy,
+    workers: usize,
+) -> InferenceEngine {
+    InferenceEngine::build(EngineSpec::new(spec.clone()).mode(mode).policy(policy).workers(workers))
+}
+
 fn moment_engine(spec: &ModelSpec, policy: BatchPolicy, workers: usize) -> InferenceEngine {
-    InferenceEngine::from_source_with_mode(
-        ModelSource::Spec(spec.clone()),
-        ServeMode::Moment,
-        policy,
-        workers,
-    )
+    engine(spec, ServeMode::Moment, policy, workers)
 }
 
 #[test]
@@ -106,7 +110,7 @@ fn moment_batches_are_cheaper_than_monte_carlo() {
     for spec in [ModelSpec::mlp(11), ModelSpec::lenet(11)] {
         let requests = trace(&spec, 16, 16);
         let policy = BatchPolicy { max_batch: 8, max_wait_ticks: 16 };
-        let mc = InferenceEngine::new(spec.clone(), policy, 2).run(&requests);
+        let mc = engine(&spec, ServeMode::MonteCarlo, policy, 2).run(&requests);
         let moment = moment_engine(&spec, policy, 2).run(&requests);
         assert!(
             moment.makespan_ticks < mc.makespan_ticks,

@@ -10,10 +10,14 @@
 //! Together these are what make the batcher's tick-domain latency numbers trustworthy: the
 //! *answers* are invariant, so policies and worker counts can be compared on timing alone.
 
-use bnn_serve::{BatchPolicy, InferenceEngine, ModelSpec, WorkloadSpec};
+use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, WorkloadSpec};
 
 fn trace(spec: &ModelSpec, requests: usize, samples: usize) -> Vec<bnn_serve::InferRequest> {
     WorkloadSpec::uniform(requests, 3, samples, 2021).generate(spec)
+}
+
+fn engine(spec: &ModelSpec, policy: BatchPolicy, workers: usize) -> InferenceEngine {
+    InferenceEngine::build(EngineSpec::new(spec.clone()).policy(policy).workers(workers))
 }
 
 #[test]
@@ -21,9 +25,9 @@ fn one_worker_and_many_workers_answer_byte_identically() {
     for spec in [ModelSpec::mlp(7), ModelSpec::lenet(7)] {
         let requests = trace(&spec, 24, 4);
         let policy = BatchPolicy { max_batch: 6, max_wait_ticks: 12 };
-        let baseline = InferenceEngine::new(spec.clone(), policy, 1).run(&requests);
+        let baseline = engine(&spec, policy, 1).run(&requests);
         for workers in [2, 3, 8] {
-            let parallel = InferenceEngine::new(spec.clone(), policy, workers).run(&requests);
+            let parallel = engine(&spec, policy, workers).run(&requests);
             assert_eq!(
                 baseline.responses_json(),
                 parallel.responses_json(),
@@ -43,12 +47,12 @@ fn one_worker_and_many_workers_answer_byte_identically() {
 fn unbatched_and_coalesced_batches_answer_byte_identically() {
     let spec = ModelSpec::mlp(19);
     let requests = trace(&spec, 32, 3);
-    let unbatched = InferenceEngine::new(spec.clone(), BatchPolicy::unbatched(), 2).run(&requests);
+    let unbatched = engine(&spec, BatchPolicy::unbatched(), 2).run(&requests);
     for policy in [
         BatchPolicy { max_batch: 4, max_wait_ticks: 8 },
         BatchPolicy { max_batch: 32, max_wait_ticks: 256 },
     ] {
-        let coalesced = InferenceEngine::new(spec.clone(), policy, 2).run(&requests);
+        let coalesced = engine(&spec, policy, 2).run(&requests);
         assert_eq!(
             unbatched.responses_json(),
             coalesced.responses_json(),
@@ -65,7 +69,7 @@ fn unbatched_and_coalesced_batches_answer_byte_identically() {
 fn repeated_runs_serialize_byte_identically() {
     let spec = ModelSpec::lenet(3);
     let requests = trace(&spec, 12, 2);
-    let engine = InferenceEngine::new(spec, BatchPolicy { max_batch: 5, max_wait_ticks: 20 }, 4);
+    let engine = engine(&spec, BatchPolicy { max_batch: 5, max_wait_ticks: 20 }, 4);
     let first = engine.run(&requests).to_json().to_pretty();
     let second = engine.run(&requests).to_json().to_pretty();
     assert_eq!(first, second);
@@ -77,8 +81,7 @@ fn responses_depend_on_request_seeds_not_positions() {
     // answer; changing its ε seed must.
     let spec = ModelSpec::mlp(5);
     let mut requests = trace(&spec, 8, 4);
-    let engine =
-        InferenceEngine::new(spec.clone(), BatchPolicy { max_batch: 4, max_wait_ticks: 6 }, 2);
+    let engine = engine(&spec, BatchPolicy { max_batch: 4, max_wait_ticks: 6 }, 2);
     let baseline = engine.run(&requests);
 
     let mut shifted = requests.clone();

@@ -1,6 +1,5 @@
 //! Span-tree invariants of the traced cluster path, property-tested across random fault
-//! plans × all four arrival processes on small **executed** clusters (real engines, phase B
-//! pinned to phase A internally).
+//! plans × all four arrival processes on small **executed** clusters (real engines).
 //!
 //! The invariants, for every submitted request:
 //!

@@ -7,9 +7,10 @@
 //! hot-swap, with the answers provably independent of which side of the disk the posterior
 //! came from.
 
+use bnn_obs::NullRecorder;
 use bnn_serve::{
-    BatchPolicy, CheckpointReplica, InferenceEngine, ModelSource, ServeMode, VersionSwap,
-    WorkloadSpec,
+    BatchPolicy, CheckpointReplica, EngineSpec, InferenceEngine, ModelSource, ServeMode,
+    VersionSwap, WorkloadSpec,
 };
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
@@ -24,6 +25,15 @@ const INPUT_SHAPE: [usize; 3] = [1, 8, 8];
 /// A fresh registry root under cargo's per-target temp dir (inside `target/`, cleaned by
 /// `cargo clean`, never colliding across parallel test binaries). Wiped on every call so
 /// version numbers restart at 1 however many times the test binary has run before.
+fn engine(
+    source: ModelSource,
+    mode: ServeMode,
+    policy: BatchPolicy,
+    workers: usize,
+) -> InferenceEngine {
+    InferenceEngine::build(EngineSpec::new(source).mode(mode).policy(policy).workers(workers))
+}
+
 fn registry_root(label: &str) -> PathBuf {
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("registry-{label}"));
     let _ = std::fs::remove_dir_all(&root);
@@ -69,10 +79,10 @@ fn registry_loaded_replicas_answer_byte_identically_to_in_memory_ones() {
 
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
     let requests = trace(18);
-    let baseline = InferenceEngine::from_source(in_memory, policy, 1).run(&requests);
+    let baseline = engine(in_memory, ServeMode::MonteCarlo, policy, 1).run(&requests);
     for workers in [1, 2, 4] {
         let served =
-            InferenceEngine::from_source(from_disk.clone(), policy, workers).run(&requests);
+            engine(from_disk.clone(), ServeMode::MonteCarlo, policy, workers).run(&requests);
         assert_eq!(
             baseline.responses_json(),
             served.responses_json(),
@@ -97,20 +107,26 @@ fn hot_swapped_checkpoint_replicas_match_their_dedicated_engine() {
     let requests = trace(24);
     let swaps = [VersionSwap { at_tick: 45, source: v2.clone() }];
 
-    let baseline =
-        InferenceEngine::from_source(v1.clone(), policy, 1).run_with_swaps(&requests, &swaps);
+    let baseline = engine(v1.clone(), ServeMode::MonteCarlo, policy, 1).run_traced(
+        &requests,
+        &swaps,
+        &mut NullRecorder,
+    );
     // 1-vs-N workers: byte-identical, swap schedule included.
     for workers in [2, 4] {
-        let parallel = InferenceEngine::from_source(v1.clone(), policy, workers)
-            .run_with_swaps(&requests, &swaps);
+        let parallel = engine(v1.clone(), ServeMode::MonteCarlo, policy, workers).run_traced(
+            &requests,
+            &swaps,
+            &mut NullRecorder,
+        );
         assert_eq!(baseline.responses_json(), parallel.responses_json());
         assert_eq!(baseline.batches, parallel.batches);
     }
 
     // Each side of the boundary matches the single-version engine built from the same
     // registry artifact — the swapped-in replica is not an approximation of v2, it *is* v2.
-    let v1_only = InferenceEngine::from_source(v1, policy, 2).run(&requests);
-    let v2_only = InferenceEngine::from_source(v2, policy, 2).run(&requests);
+    let v1_only = engine(v1, ServeMode::MonteCarlo, policy, 2).run(&requests);
+    let v2_only = engine(v2, ServeMode::MonteCarlo, policy, 2).run(&requests);
     let mut request_index = 0usize;
     let mut saw_both = (false, false);
     for batch in &baseline.batches {
@@ -190,17 +206,10 @@ fn moment_mode_survives_the_checkpoint_round_trip() {
 
     let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
     let requests = trace(18);
-    let baseline = InferenceEngine::from_source_with_mode(in_memory, ServeMode::Moment, policy, 1)
-        .run(&requests);
+    let baseline = engine(in_memory, ServeMode::Moment, policy, 1).run(&requests);
     assert!(baseline.responses.iter().all(|r| r.samples == 0));
     for workers in [1, 2, 4] {
-        let served = InferenceEngine::from_source_with_mode(
-            from_disk.clone(),
-            ServeMode::Moment,
-            policy,
-            workers,
-        )
-        .run(&requests);
+        let served = engine(from_disk.clone(), ServeMode::Moment, policy, workers).run(&requests);
         assert_eq!(
             baseline.responses_json(),
             served.responses_json(),
@@ -210,7 +219,6 @@ fn moment_mode_survives_the_checkpoint_round_trip() {
 
     // The backends answer from the same posterior but are genuinely different summaries:
     // Monte-Carlo responses over the same trace differ from the analytic ones.
-    let mc = InferenceEngine::from_source_with_mode(from_disk, ServeMode::MonteCarlo, policy, 2)
-        .run(&requests);
+    let mc = engine(from_disk, ServeMode::MonteCarlo, policy, 2).run(&requests);
     assert_ne!(baseline.responses_json(), mc.responses_json());
 }

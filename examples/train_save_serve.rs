@@ -11,7 +11,8 @@
 //!
 //! Run with: `cargo run --example train_save_serve`
 
-use bnn_serve::{BatchPolicy, InferenceEngine, VersionSwap, WorkloadSpec};
+use bnn_obs::NullRecorder;
+use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, VersionSwap, WorkloadSpec};
 use bnn_store::{Checkpoint, ModelRegistry};
 use bnn_train::data::SyntheticDataset;
 use bnn_train::network::Network;
@@ -69,9 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (_, v1_source) = registry.serve_source("blenet", Some(version_1), INPUT.to_vec())?;
     let (_, v2_source) = registry.serve_source("blenet", Some(version_2), INPUT.to_vec())?;
     let trace = WorkloadSpec::uniform(16, 4, 4, 21).generate_for_shape(&INPUT);
-    let engine =
-        InferenceEngine::from_source(v1_source, BatchPolicy { max_batch: 4, max_wait_ticks: 8 }, 2);
-    let report = engine.run_with_swaps(&trace, &[VersionSwap { at_tick: 70, source: v2_source }]);
+    let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
+    let engine = InferenceEngine::build(EngineSpec::new(v1_source).policy(policy).workers(2));
+    let swaps = [VersionSwap { at_tick: 70, source: v2_source }];
+    let report = engine.run_traced(&trace, &swaps, &mut NullRecorder);
     let boundary = report.batches.iter().find(|b| b.version == 1).expect("swap lands");
     println!(
         "served {} requests across the swap: v1 drained {} batch(es), v2 answered from tick {} \
