@@ -5,7 +5,9 @@
 //! 1. the packed im2col+GEMM convolution kernels against the retained reference loop nests
 //!    (per geometry × direction, asserting bit-identical outputs as it goes), and every
 //!    GEMM tier over the gated `simd_gemm` shapes and over the B-LeNet proxy's six conv
-//!    shapes, whose column tails give the ungated `simd_gemm_tails` ratio;
+//!    shapes, whose column tails give the ungated `simd_gemm_tails` ratio, and the linear
+//!    kernel against its per-row dot loop at 64×144 and 48×64, the ungated `linear_matvec`
+//!    ratio;
 //! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks — the
 //!    `eps_generate` and `eps_retrieve` ratios gated by `bench_regression`;
 //! 3. a traced engine run against the identical untraced run (responses asserted
@@ -29,8 +31,9 @@ use bnn_tensor::KernelTier;
 use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{
     full_json, geometric_mean, run_epsilon_bench, run_fused_serve_bench, run_fused_training_bench,
-    run_kernel_benches, run_obs_overhead_bench, run_tail_benches, run_tier_benches, summary_json,
-    EpsilonBench, KernelBench, ServeProbe, TierBench, TracedServeProbe, TrainingProbe,
+    run_kernel_benches, run_linear_benches, run_obs_overhead_bench, run_tail_benches,
+    run_tier_benches, summary_json, EpsilonBench, KernelBench, LinearBench, ServeProbe, TierBench,
+    TracedServeProbe, TrainingProbe,
 };
 use shift_bnn_bench::print_table;
 
@@ -109,6 +112,7 @@ fn main() {
     let kernels = run_kernel_benches(args.reps);
     let tiers = run_tier_benches(args.reps);
     let tails = run_tail_benches(args.reps);
+    let linear = run_linear_benches(args.reps);
     let fused = run_fused_serve_bench(args.reps, 16);
     let fused_training = run_fused_training_bench(args.reps, 8);
     let obs = run_obs_overhead_bench(args.reps, 48);
@@ -155,6 +159,22 @@ fn main() {
     let simd_gemm_tails =
         geometric_mean(&tails.iter().map(TierBench::simd_speedup).collect::<Vec<f64>>());
     println!("\ngeometric-mean SIMD-over-blocked tail GEMM speedup: {simd_gemm_tails:.2}x");
+    let rows: Vec<Vec<String>> = linear
+        .iter()
+        .map(|l: &LinearBench| {
+            vec![
+                l.name.to_string(),
+                format!("{:.2}", l.dot_loop_ns / 1e3),
+                format!("{:.2}", l.kernel_ns / 1e3),
+                format!("{:.2}x", l.speedup()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Linear matvec: per-row dot loop vs dispatched kernel (bit-identical)",
+        &["shape", "dot loop µs", "kernel µs", "speedup"],
+        &rows,
+    );
     println!(
         "fused sampling (S = {}): per-sample {:.1} µs, fused {:.1} µs ({:.2}x), \
          response digest {}",
@@ -222,6 +242,7 @@ fn main() {
             &kernels,
             &tiers,
             &tails,
+            &linear,
             &fused,
             &fused_training,
             &obs,

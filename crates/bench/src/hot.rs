@@ -31,7 +31,7 @@ use bnn_serve::{
 use bnn_tensor::conv::{reference, ConvGeometry};
 use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_into, conv2d_forward_into,
-    gemm_accumulate_tiered,
+    gemm_accumulate_tiered, linear_matvec, linear_matvec_portable,
 };
 use bnn_tensor::{KernelConfig, KernelTier, Scratch, Tensor};
 use bnn_train::trainer::{Trainer, TrainerConfig};
@@ -369,6 +369,74 @@ fn run_tiers(reps: usize, shapes: &[(&'static str, usize, usize, usize)]) -> Vec
                 tier_ns.push((tier, ns));
             }
             TierBench { name, m, k, n, tier_ns, digest }
+        })
+        .collect()
+}
+
+/// Timing of the linear kernel ([`linear_matvec`]) against its per-row dot loop
+/// ([`linear_matvec_portable`]) on one weight matrix.
+#[derive(Debug, Clone)]
+pub struct LinearBench {
+    /// Shape identifier (`linear_<out>x<in>`).
+    pub name: &'static str,
+    /// Output rows.
+    pub rows: usize,
+    /// Input columns.
+    pub cols: usize,
+    /// Best-of-reps time of the per-row dot loop, in nanoseconds per matvec.
+    pub dot_loop_ns: f64,
+    /// Best-of-reps time of the dispatched kernel, in nanoseconds per matvec.
+    pub kernel_ns: f64,
+}
+
+impl LinearBench {
+    /// dot loop / kernel wall-clock ratio.
+    pub fn speedup(&self) -> f64 {
+        self.dot_loop_ns / self.kernel_ns
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("name", Json::Str(self.name.to_string())),
+            ("rows", Json::UInt(self.rows as u64)),
+            ("cols", Json::UInt(self.cols as u64)),
+            ("dot_loop_ns", Json::Float(self.dot_loop_ns)),
+            ("kernel_ns", Json::Float(self.kernel_ns)),
+            ("speedup", Json::Float(self.speedup())),
+        ])
+    }
+}
+
+/// Times the dispatched linear kernel against the per-row dot loop on the B-LeNet proxy's
+/// 64×144 and the B-MLP proxy's 48×64 weight matrices, in alternation.
+///
+/// # Panics
+///
+/// Panics if the two paths' outputs are not bit-identical.
+pub fn run_linear_benches(reps: usize) -> Vec<LinearBench> {
+    [("linear_64x144", 64, 144), ("linear_48x64", 48, 64)]
+        .into_iter()
+        .map(|(name, rows, cols)| {
+            let w = fill_tensor(0x11EA ^ rows as u64, &[rows, cols]);
+            let x = fill_tensor(0x3A7 ^ cols as u64, &[cols]);
+            let (mut dot, mut kernel) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+            linear_matvec_portable(&mut dot, w.data(), x.data());
+            linear_matvec(&mut kernel, w.data(), x.data());
+            for (o, (d, k)) in dot.iter().zip(&kernel).enumerate() {
+                assert_eq!(d.to_bits(), k.to_bits(), "{name}: kernel diverged at output {o}");
+            }
+            let (dot_loop_ns, kernel_ns) = best_of_alternating(
+                reps,
+                || {
+                    dot.fill(0.0);
+                    linear_matvec_portable(std::hint::black_box(&mut dot), w.data(), x.data());
+                },
+                || {
+                    kernel.fill(0.0);
+                    linear_matvec(std::hint::black_box(&mut kernel), w.data(), x.data());
+                },
+            );
+            LinearBench { name, rows, cols, dot_loop_ns, kernel_ns }
         })
         .collect()
 }
@@ -912,6 +980,7 @@ pub fn full_json(
     kernels: &[KernelBench],
     tiers: &[TierBench],
     tails: &[TierBench],
+    linear: &[LinearBench],
     fused: &FusedBench,
     fused_training: &FusedBench,
     obs: &ObsOverheadBench,
@@ -923,6 +992,7 @@ pub fn full_json(
     let speedups: Vec<f64> = kernels.iter().map(KernelBench::speedup).collect();
     let simd: Vec<f64> = tiers.iter().map(TierBench::simd_speedup).collect();
     let simd_tails: Vec<f64> = tails.iter().map(TierBench::simd_speedup).collect();
+    let linear_speedups: Vec<f64> = linear.iter().map(LinearBench::speedup).collect();
     Json::obj([
         (
             "kernels",
@@ -945,6 +1015,7 @@ pub fn full_json(
         ("geometric_mean_speedup", Json::Float(geometric_mean(&speedups))),
         ("kernel_tiers", Json::Array(tiers.iter().map(TierBench::json).collect())),
         ("kernel_tail_tiers", Json::Array(tails.iter().map(TierBench::json).collect())),
+        ("linear_matvec", Json::Array(linear.iter().map(LinearBench::json).collect())),
         ("fused_serving", fused.json()),
         ("fused_training", fused_training.json()),
         (
@@ -963,6 +1034,7 @@ pub fn full_json(
             Json::obj([
                 ("simd_gemm", Json::Float(geometric_mean(&simd))),
                 ("simd_gemm_tails", Json::Float(geometric_mean(&simd_tails))),
+                ("linear_matvec", Json::Float(geometric_mean(&linear_speedups))),
                 ("fused_sampling", Json::Float(fused.speedup())),
                 ("fused_training", Json::Float(fused_training.speedup())),
                 ("obs_overhead", Json::Float(obs.overhead())),
@@ -1048,13 +1120,26 @@ mod tests {
         let fused_training = run_fused_training_bench(1, 2);
         let obs = run_obs_overhead_bench(1, 8);
         let epsilon = run_epsilon_bench(1, 128);
-        let doc =
-            full_json(&kernels, &tiers, &tails, &fused, &fused_training, &obs, &epsilon, 0, 0, 0)
-                .to_compact();
+        let linear = run_linear_benches(1);
+        let doc = full_json(
+            &kernels,
+            &tiers,
+            &tails,
+            &linear,
+            &fused,
+            &fused_training,
+            &obs,
+            &epsilon,
+            0,
+            0,
+            0,
+        )
+        .to_compact();
         for name in [
             "speedups",
             "simd_gemm",
             "simd_gemm_tails",
+            "linear_matvec",
             "fused_sampling",
             "fused_training",
             "obs_overhead",

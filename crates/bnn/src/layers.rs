@@ -20,7 +20,7 @@ use bnn_tensor::activation::{relu_backward_into, relu_into};
 use bnn_tensor::conv::ConvGeometry;
 use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_packed, conv2d_forward_packed,
-    fused_linear_accumulate, gemm_at_accumulate, pack_im2col, pack_im2row,
+    gemm_at_accumulate, linear_matvec, pack_im2col, pack_im2row,
 };
 use bnn_tensor::pool::{max_pool2d_backward_into, max_pool2d_into};
 use bnn_tensor::{Scratch, Tensor, TensorError};
@@ -327,6 +327,33 @@ impl BayesLinear {
         self.weights.sample_into(epsilon, self.config.precision, &mut w);
         w
     }
+
+    /// Draws one sample's ε block into `epsilon` and returns the sampled weights; when
+    /// `train`, also adds the sample's complexity term.
+    fn draw(
+        &mut self,
+        eps: &mut dyn EpsilonSource,
+        epsilon: &mut [f32],
+        train: bool,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        eps.generate_block_into(epsilon);
+        let w = self.sample_weights(epsilon, scratch);
+        if train {
+            self.accumulated_complexity += self.config.kl_weight
+                * self.weights.complexity_loss(&w, epsilon, self.config.prior_sigma);
+        }
+        w
+    }
+
+    /// Writes `quantize(w·x + b)` into a zeroed `out` with [`linear_matvec`], whose outputs
+    /// add their terms in ascending input order.
+    fn answer(&self, w: &Tensor, x: &[f32], out: &mut [f32]) {
+        linear_matvec(out, w.data(), x);
+        for (o, &b) in out.iter_mut().zip(self.bias.data()) {
+            *o = self.config.precision.quantize(*o + b);
+        }
+    }
 }
 
 impl Layer for BayesLinear {
@@ -344,37 +371,18 @@ impl Layer for BayesLinear {
             });
         }
         let mut epsilon = scratch.take_f32(self.weights.len());
-        eps.generate_block_into(&mut epsilon);
-        let w = self.sample_weights(&epsilon, scratch);
-        self.accumulated_complexity += self.config.kl_weight
-            * self.weights.complexity_loss(&w, &epsilon, self.config.prior_sigma);
-
-        // out = W·x + b, quantized — dot products accumulate the weights in ascending input
-        // order, matching the matmul the layer used to perform.
+        let w = self.draw(eps, &mut epsilon, true, scratch);
         let mut out = scratch.take_tensor(&[self.out_features]);
-        let (x, wd) = (input.data(), w.data());
-        for (i, o) in out.data_mut().iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (&wv, &xv) in wd[i * self.in_features..(i + 1) * self.in_features].iter().zip(x) {
-                acc += wv * xv;
-            }
-            *o = self.config.precision.quantize(acc + self.bias.data()[i]);
-        }
-
+        self.answer(&w, input.data(), out.data_mut());
         scratch.put_tensor(w);
         scratch.put_f32(epsilon);
         cache_tensor(&mut self.cached_inputs, sample, input, scratch);
         Ok(out)
     }
 
-    /// Fused evaluation: all `S` sampled matvecs become one wide GEMM. Per sample the layer
-    /// draws ε and samples `w_s` exactly as [`Layer::forward`] does, then packs the weights
-    /// *transposed* into one `[in, S·out]` panel (`wt[i][s·out + o] = w_s[o][i]`, written
-    /// panel row by panel row so the stores stay contiguous);
-    /// [`fused_linear_accumulate`]'s i-outer rank-1 updates then add each output scalar's
-    /// terms in precisely the per-sample dot loop's ascending-`i` order, so the stacked
-    /// result is bit-identical (pinned by the kernel's proptest and the serve/train identity
-    /// tests). When `train` is false the complexity-loss sum and the input cache are skipped.
+    /// Each sample runs [`BayesLinear::forward`]'s steps straight into its row of the
+    /// stacked output, reusing one ε buffer. When `train` is false the complexity-loss sum
+    /// and the input cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -383,50 +391,27 @@ impl Layer for BayesLinear {
         train: bool,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        if stacked.len() != samples * self.in_features {
+        let (inf, outf) = (self.in_features, self.out_features);
+        if stacked.len() != samples * inf {
             return Err(TensorError::InvalidReshape {
                 len: stacked.len(),
-                shape: vec![samples, self.in_features],
+                shape: vec![samples, inf],
             });
         }
-        let (inf, outf) = (self.in_features, self.out_features);
-        let width = samples * outf;
+        assert!(sources.len() >= samples, "fused forward needs one ε source per sample");
         let mut epsilon = scratch.take_f32(self.weights.len());
-        let mut w = scratch.take_tensor(self.weights.shape());
-        let mut wt = scratch.take_f32(inf * width);
-        for (s, source) in sources.iter_mut().take(samples).enumerate() {
-            source.generate_block_into(&mut epsilon);
-            self.weights.sample_into(&epsilon, self.config.precision, &mut w);
+        let mut out = scratch.take_tensor(&[samples, outf]);
+        let rows = stacked.data().chunks_exact(inf).zip(out.data_mut().chunks_exact_mut(outf));
+        for (s, ((x, row), source)) in rows.zip(sources.iter_mut()).enumerate() {
+            let w = self.draw(source.as_mut(), &mut epsilon, train, scratch);
+            self.answer(&w, x, row);
+            scratch.put_tensor(w);
             if train {
-                self.accumulated_complexity += self.config.kl_weight
-                    * self.weights.complexity_loss(&w, &epsilon, self.config.prior_sigma);
                 let mut input = scratch.take_tensor(&[inf]);
-                input.data_mut().copy_from_slice(&stacked.data()[s * inf..(s + 1) * inf]);
+                input.data_mut().copy_from_slice(x);
                 cache_tensor(&mut self.cached_inputs, s, input, scratch);
             }
-            let wd = w.data();
-            for (i, row) in wt.chunks_exact_mut(width).enumerate() {
-                for (o, slot) in row[s * outf..(s + 1) * outf].iter_mut().enumerate() {
-                    *slot = wd[o * inf + i];
-                }
-            }
         }
-
-        let mut out = scratch.take_tensor(&[samples, outf]);
-        fused_linear_accumulate(out.data_mut(), stacked.data(), &wt, samples, inf, outf);
-        {
-            let od = out.data_mut();
-            let bias = self.bias.data();
-            for s in 0..samples {
-                for (o, &b) in bias.iter().enumerate() {
-                    let v = &mut od[s * outf + o];
-                    *v = self.config.precision.quantize(*v + b);
-                }
-            }
-        }
-
-        scratch.put_f32(wt);
-        scratch.put_tensor(w);
         scratch.put_f32(epsilon);
         scratch.put_tensor(stacked);
         Ok(out)

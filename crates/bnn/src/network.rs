@@ -182,9 +182,9 @@ impl Network {
     }
 
     /// Forward pass of **all** sampled models at once over a sample-stacked copy of `input`
-    /// (the fused-sampling path, PR 8): returns the stacked `[S, classes]` outputs. One
-    /// [`Layer::forward_all`] call per layer replaces `S` per-layer visits, which turns the
-    /// `S` matvecs of every linear layer into a single wide GEMM.
+    /// (the fused-sampling path): returns the stacked `[S, classes]` outputs. One
+    /// [`Layer::forward_all`] call per layer replaces `S` per-layer visits, so ReLU and
+    /// pooling run once over all samples and the first layer packs its shared input once.
     ///
     /// Bit-identical to `sources.len()` individual [`Network::forward_sample`] calls; with
     /// `train = true` it also leaves identical per-sample caches and complexity sums behind,

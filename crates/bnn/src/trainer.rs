@@ -233,10 +233,11 @@ impl Trainer {
 
     /// Enables or disables the fused forward stage: all `S` sampled forward passes batched
     /// through [`Network::forward_all_samples`] instead of `S` per-sample walks. Off by
-    /// default. A runtime knob rather than a [`TrainerConfig`] field because the config is
-    /// persisted inside checkpoints and the fused stage changes **no bit** of the training
-    /// trajectory (pinned by the fused-training identity test) — a resumed run may toggle it
-    /// freely.
+    /// default. Both drivers run the same per-sample linear kernel on the same stored sampled
+    /// weights, so this changes how the forward stage is driven, not the work it does. A
+    /// runtime knob rather than a [`TrainerConfig`] field because the config is persisted
+    /// inside checkpoints and the fused stage changes **no bit** of the training trajectory
+    /// (pinned by the fused-training identity test) — a resumed run may toggle it freely.
     pub fn set_fused_forward(&mut self, fused: bool) {
         self.fused_forward = fused;
     }

@@ -40,7 +40,7 @@
 
 use crate::batcher::{BatchPolicy, BatchSchedule};
 use crate::builder::EngineSpec;
-use crate::engine::{InferenceEngine, ServeRunReport, VersionSwap};
+use crate::engine::{Admission, InferenceEngine, ServeRunReport, VersionSwap};
 use crate::faults::{DegradeEvent, DegradeLevel, FaultPlan, FaultTimeline, FaultTrace, RetryEvent};
 use crate::request::{InferRequest, InferResponse};
 use crate::spec::{ModelSource, ServeMode};
@@ -901,8 +901,8 @@ impl Cluster {
         let routing = self.route(trace, &grouped, faults, &timeline, rec);
 
         // Phase B: each routable shard's engine answers the shard's schedule as planned. A
-        // request enters the shard's sub-trace at the tick and sample count the schedule
-        // admitted it at (a retried request's failover history lives in phase A).
+        // request is answered at the tick and sample count the schedule admitted it at (a
+        // retried request's failover history lives in phase A).
         let engine = InferenceEngine::build(
             EngineSpec::new(self.config.source.clone())
                 .mode(self.config.mode)
@@ -913,16 +913,16 @@ impl Cluster {
         let mut shard_reports: Vec<ServeRunReport> = Vec::with_capacity(self.config.shards);
         let routable = Cluster::routable(&self.config);
         for (shard, schedule) in schedules.by_ref().take(routable).enumerate() {
-            let sub_trace: Vec<InferRequest> = routing.routed[shard]
+            let admissions: Vec<Admission> = routing.routed[shard]
                 .iter()
-                .map(|&i| {
-                    let mut request = trace[i].clone();
-                    request.arrival_tick = routing.admitted_ticks[i];
-                    request.samples = routing.effective_samples[i];
-                    request
+                .map(|&index| Admission {
+                    index,
+                    tick: routing.admitted_ticks[index],
+                    samples: routing.effective_samples[index],
                 })
                 .collect();
-            shard_reports.push(engine.execute(&sub_trace, &grouped[shard], schedule, shard, rec));
+            let report = engine.execute(trace, &admissions, &grouped[shard], schedule, shard, rec);
+            shard_reports.push(report);
         }
         let mut outcomes = routing.outcomes;
         let mut responses: Vec<Option<InferResponse>> = vec![None; trace.len()];
@@ -962,10 +962,9 @@ impl Cluster {
             // The router never targets the high shard, so its phase-A schedule is still
             // empty; escalations fill it in completion-tick order.
             let mut high_schedule = schedules.next().expect("two-tier reserves a high shard");
-            // `high_trace[k]` escalates the request at trace index `high_indices[k]`; ids
-            // are caller-chosen and never used as positions.
-            let mut high_trace: Vec<InferRequest> = Vec::new();
-            let mut high_indices: Vec<usize> = Vec::new();
+            // Escalations name trace indices; ids are caller-chosen and never used as
+            // positions.
+            let mut high_admissions: Vec<Admission> = Vec::new();
             let mut kept_low: Vec<usize> = Vec::new();
             for &(tick, i) in &candidates {
                 let full = high_schedule.backlog(tick) >= self.config.queue_cap;
@@ -980,20 +979,17 @@ impl Cluster {
                 escalations.push(event);
                 if admit {
                     high_schedule.admit(high_samples, tick);
-                    let mut request = trace[i].clone();
-                    request.arrival_tick = tick;
-                    request.samples = high_samples;
-                    high_trace.push(request);
-                    high_indices.push(i);
+                    high_admissions.push(Admission { index: i, tick, samples: high_samples });
                 } else {
                     kept_low.push(i);
                 }
             }
             high_schedule.finish();
-            let high_report = engine.execute(&high_trace, &grouped[high], high_schedule, high, rec);
+            let high_report =
+                engine.execute(trace, &high_admissions, &grouped[high], high_schedule, high, rec);
 
-            for (k, &i) in high_indices.iter().enumerate() {
-                let end = high_trace[k].arrival_tick + high_report.latencies[k];
+            for (k, &Admission { index: i, tick, .. }) in high_admissions.iter().enumerate() {
+                let end = tick + high_report.latencies[k];
                 end_ticks[i] = end;
                 responses[i] = Some(high_report.responses[k].clone());
                 outcomes[i] = Some(RequestOutcome::Answered {

@@ -285,29 +285,30 @@ impl InferenceEngine {
             schedule.admit(request.samples, request.arrival_tick);
         }
         schedule.finish();
-        self.execute(requests, swaps, schedule, 0, rec)
+        self.execute(requests, &Admission::in_order(requests), swaps, schedule, 0, rec)
     }
 
-    /// Answers a filled schedule: `requests[i]` is its `i`-th admission, carrying the tick
-    /// it was admitted at and the sample count it was priced at, and `swaps` are the versions
-    /// the schedule was built with. Batch events are stamped with `shard` and recorded on
-    /// the calling thread, never on pool workers, so recorded streams are identical at any
-    /// worker count.
+    /// Answers a filled schedule: `admissions[j]` is its `j`-th admission, naming a request
+    /// of `trace` with the tick it was admitted at and the sample count it was priced at,
+    /// and `swaps` are the versions the schedule was built with. Batch events are stamped
+    /// with `shard` and recorded on the calling thread, never on pool workers, so recorded
+    /// streams are identical at any worker count.
     pub(crate) fn execute<R: Recorder>(
         &self,
-        requests: &[InferRequest],
+        trace: &[InferRequest],
+        admissions: &[Admission],
         swaps: &[VersionSwap],
         schedule: BatchSchedule,
         shard: usize,
         rec: &mut R,
     ) -> ServeRunReport {
         debug_assert_eq!(
-            requests.len(),
+            admissions.len(),
             schedule.batches().iter().map(|b| b.size).sum::<usize>(),
             "the schedule holds exactly the requests being answered"
         );
-        let mut latencies = vec![0u64; requests.len()];
-        let mut version_of = vec![0usize; requests.len()];
+        let mut latencies = vec![0u64; admissions.len()];
+        let mut version_of = vec![0usize; admissions.len()];
         for (batch, members) in schedule.batch_members() {
             if R::ENABLED {
                 rec.record(Event::BatchSeal {
@@ -317,11 +318,11 @@ impl InferenceEngine {
                     version: batch.version,
                 });
             }
-            for i in members {
-                latencies[i] = batch.end_tick - requests[i].arrival_tick;
-                version_of[i] = batch.version;
+            for j in members {
+                latencies[j] = batch.end_tick - admissions[j].tick;
+                version_of[j] = batch.version;
                 if R::ENABLED {
-                    let request = requests[i].id;
+                    let request = trace[admissions[j].index].id;
                     rec.record(Event::BatchClose { request, shard, tick: batch.close_tick });
                     rec.record(Event::Dispatch { request, shard, tick: batch.start_tick });
                     rec.record(Event::ComputeDone { request, shard, tick: batch.end_tick });
@@ -343,11 +344,11 @@ impl InferenceEngine {
         let kernel = self.kernel;
         let fused = self.fused_sampling;
         let responses = pool::run_indexed_with(
-            requests.len(),
+            admissions.len(),
             self.workers,
             |_worker| -> Vec<Option<ServeReplica>> { (0..sources.len()).map(|_| None).collect() },
-            |replicas, i| {
-                let version = version_of[i];
+            |replicas, j| {
+                let version = version_of[j];
                 let replica = replicas[version].get_or_insert_with(|| {
                     ServeReplica::with_options(sources[version], mode, kernel, fused)
                 });
@@ -358,7 +359,8 @@ impl InferenceEngine {
                     variance: Vec::new(),
                     entropy: 0.0,
                 };
-                replica.answer_into(&requests[i], &mut response);
+                let admission = admissions[j];
+                replica.answer(&trace[admission.index], admission.samples, &mut response);
                 response
             },
         );
@@ -372,6 +374,28 @@ impl InferenceEngine {
             makespan_ticks: schedule.makespan(),
             batches: schedule.into_batches(),
         }
+    }
+}
+
+/// One request a schedule admitted: its index in the trace, and the tick and sample count
+/// it was admitted at (a cluster may admit a request later, or at fewer samples, than it
+/// arrived with).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Admission {
+    pub(crate) index: usize,
+    pub(crate) tick: u64,
+    pub(crate) samples: usize,
+}
+
+impl Admission {
+    /// Every request of `trace`, admitted as it arrived.
+    fn in_order(trace: &[InferRequest]) -> Vec<Admission> {
+        let admit = |(index, r): (usize, &InferRequest)| Admission {
+            index,
+            tick: r.arrival_tick,
+            samples: r.samples,
+        };
+        trace.iter().enumerate().map(admit).collect()
     }
 }
 
@@ -483,9 +507,21 @@ impl ServeReplica {
     ///
     /// Panics if the request's input shape mismatches the model.
     pub fn answer_into(&mut self, request: &InferRequest, response: &mut InferResponse) {
+        self.answer(request, request.samples, response);
+    }
+
+    /// [`ServeReplica::answer_into`] at `samples` Monte-Carlo samples instead of the
+    /// request's own count: how a schedule answers the sample count it admitted a request
+    /// at.
+    pub(crate) fn answer(
+        &mut self,
+        request: &InferRequest,
+        samples: usize,
+        response: &mut InferResponse,
+    ) {
         match &mut self.backend {
             ReplicaBackend::MonteCarlo { network, sources, moment } => {
-                if request.samples == 0 {
+                if samples == 0 {
                     let moment = moment.get_or_insert_with(|| {
                         MomentNetwork::from_network(network)
                             .expect("a servable posterior always compiles to a moment network")
@@ -496,13 +532,13 @@ impl ServeReplica {
                     finish_response(&self.predictive, request, response);
                     return;
                 }
-                while sources.len() < request.samples {
+                while sources.len() < samples {
                     sources.push(Box::new(
                         LfsrForward::new(0)
                             .expect("Shift-BNN default GRNG construction cannot fail"),
                     ));
                 }
-                let sources = &mut sources[..request.samples];
+                let sources = &mut sources[..samples];
                 for (s, source) in sources.iter_mut().enumerate() {
                     source.reseed(mix_seed(request.seed, s as u64));
                 }
@@ -666,7 +702,8 @@ mod tests {
             schedule.admit(request.samples, request.arrival_tick);
         }
         schedule.finish();
-        let slow = engine.execute(&trace, &[], schedule, 0, &mut NullRecorder);
+        let admissions = Admission::in_order(&trace);
+        let slow = engine.execute(&trace, &admissions, &[], schedule, 0, &mut NullRecorder);
         assert!(slow.makespan_ticks > healthy.makespan_ticks);
         for (batch, healthy_batch) in slow.batches.iter().zip(&healthy.batches) {
             assert_eq!(

@@ -631,44 +631,128 @@ pub fn gemm_accumulate_tiered(
     });
 }
 
-/// The fused-sampling linear kernel: `S` per-sample matrix-vector products in one pass.
+/// `c[o] += Σ_i w[o, i]·x[i]` for a row-major `[out, in]` weight matrix `w`, with `out =
+/// c.len()` and `in = x.len()`: the one linear forward of the Bayesian layers.
 ///
-/// * `x` is the stacked activation panel `[S, in]` (sample-major, row `s` = sample `s`'s
-///   input);
-/// * `wt` is the packed **transposed** weight panel `[in, S·out]` with
-///   `wt[i·S·out + s·out + o] = w_s[o, i]` — per-sample sampled weights materialized
-///   column-blocked by sample (the ε panel of the fused forward pass);
-/// * `c` is the stacked output `[S, out]`, accumulated in place.
+/// Each output adds its terms in ascending `i` into one accumulator seeded from `c[o]`, the
+/// order of the per-row dot loop, so the result is `to_bits()`-identical to that loop. On
+/// CPUs with AVX2 each block of eight rows runs in registers: 8×8 blocks of W are transposed
+/// with shuffles, and column `i` of a block is multiplied by `x[i]` and added lane-wise into
+/// one 8-lane accumulator, as a multiply followed by an add (no FMA, which would round
+/// once instead of twice). Row and column tails, and every other CPU, run the per-row dot
+/// loop ([`linear_matvec_portable`]). Records nothing in the GEMM profile counters.
 ///
-/// The i-outer rank-1-update form makes the inner loop a contiguous, vectorizable walk over
-/// `out` — unlike the per-sample dot-product loop, whose single running sum is an addition
-/// chain no vectorizer may touch. Per output scalar `(s, o)` the terms are still added
-/// i-ascending into one accumulator (`c[s·out+o] += x[s,i]·w_s[o,i]`, `i = 0, 1, …`), which
-/// is exactly the dot-product loop's order — so fused and per-sample forwards are
-/// `to_bits()`-identical.
-pub fn fused_linear_accumulate(
-    c: &mut [f32],
-    x: &[f32],
-    wt: &[f32],
-    samples: usize,
-    in_features: usize,
-    out_features: usize,
-) {
-    debug_assert_eq!(c.len(), samples * out_features);
-    debug_assert_eq!(x.len(), samples * in_features);
-    debug_assert_eq!(wt.len(), in_features * samples * out_features);
-    let width = samples * out_features;
-    for i in 0..in_features {
-        let wrow = &wt[i * width..(i + 1) * width];
-        for s in 0..samples {
-            let xv = x[s * in_features + i];
-            let crow = &mut c[s * out_features..(s + 1) * out_features];
-            let wseg = &wrow[s * out_features..(s + 1) * out_features];
-            for (cv, &wv) in crow.iter_mut().zip(wseg) {
-                *cv += xv * wv;
-            }
-        }
+/// # Panics
+///
+/// Panics unless `w` holds `c.len() · x.len()` values.
+pub fn linear_matvec(c: &mut [f32], w: &[f32], x: &[f32]) {
+    assert_linear_shape(c, w, x);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: guarded by runtime AVX2 detection.
+        return unsafe { linear_avx2(c, w, x) };
     }
+    dot_rows(c, w, x, 0, 0);
+}
+
+/// [`linear_matvec`] on the per-row dot loop alone, whatever the CPU: the path non-AVX2
+/// CPUs and the vector path's row and column tails take.
+///
+/// # Panics
+///
+/// As [`linear_matvec`].
+pub fn linear_matvec_portable(c: &mut [f32], w: &[f32], x: &[f32]) {
+    assert_linear_shape(c, w, x);
+    dot_rows(c, w, x, 0, 0);
+}
+
+fn assert_linear_shape(c: &[f32], w: &[f32], x: &[f32]) {
+    let len = c.len().checked_mul(x.len()).expect("weight count overflows usize");
+    assert_eq!(w.len(), len, "weights must hold out · in values");
+}
+
+/// The per-row dot loop: `c[r] += Σ_{i ≥ from} w[first_row + r, i]·x[i]`, one ascending
+/// chain per row.
+#[inline(always)]
+fn dot_rows(c: &mut [f32], w: &[f32], x: &[f32], first_row: usize, from: usize) {
+    let cols = x.len();
+    for (r, cv) in c.iter_mut().enumerate() {
+        let row = &w[(first_row + r) * cols..(first_row + r + 1) * cols];
+        *cv = row[from..].iter().zip(&x[from..]).fold(*cv, |acc, (&wv, &xv)| acc + wv * xv);
+    }
+}
+
+/// Transposes an 8×8 block held as eight row vectors into eight column vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // Interleave row pairs: t0 = r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5], …
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    // Gather four rows per column: s0 = r0..r3 of columns 0 | 4, s1 = columns 1 | 5, …
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    // Join the 128-bit halves: rows 0–3 from the low lanes, rows 4–7 from the high ones.
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
+}
+
+/// The AVX2 body of [`linear_matvec`]: per block of eight rows, one 8-lane accumulator loaded
+/// from C takes the transposed columns of each 8×8 weight block in ascending column order;
+/// the column tail then continues each row's chain on the per-row dot loop, after the
+/// accumulator's exact f32 store, and the row tail runs on that loop alone.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn linear_avx2(c: &mut [f32], w: &[f32], x: &[f32]) {
+    use std::arch::x86_64::*;
+    let cols = x.len();
+    let full_rows = c.len() - c.len() % 8;
+    let (body, row_tail) = c.split_at_mut(full_rows);
+    for (block, c8) in body.chunks_exact_mut(8).enumerate() {
+        let o0 = block * 8;
+        let rows: [&[f32]; 8] = std::array::from_fn(|k| &w[(o0 + k) * cols..(o0 + k + 1) * cols]);
+        // SAFETY: `c8` is an 8-float chunk, so the unaligned 8-lane load stays inside it.
+        let mut acc = unsafe { _mm256_loadu_ps(c8.as_ptr()) };
+        let mut i0 = 0;
+        while i0 + 8 <= cols {
+            let mut tile = [_mm256_setzero_ps(); 8];
+            for (lanes, row) in tile.iter_mut().zip(rows) {
+                let segment: &[f32; 8] = row[i0..i0 + 8].try_into().expect("an 8-weight segment");
+                // SAFETY: `segment` is an `[f32; 8]`, exactly one unaligned 8-lane load.
+                *lanes = unsafe { _mm256_loadu_ps(segment.as_ptr()) };
+            }
+            let xs: &[f32; 8] = x[i0..i0 + 8].try_into().expect("an 8-value x segment");
+            for (column, &xv) in transpose8(tile).into_iter().zip(xs) {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(column, _mm256_set1_ps(xv)));
+            }
+            i0 += 8;
+        }
+        // SAFETY: `c8` is an 8-float chunk, so the unaligned 8-lane store stays inside it.
+        unsafe { _mm256_storeu_ps(c8.as_mut_ptr(), acc) };
+        dot_rows(c8, w, x, o0, i0);
+    }
+    dot_rows(row_tail, w, x, full_rows, 0);
 }
 
 /// C\[m,n\] += Aᵀ · B where `a` is `[k, m]` and `b` is `[k, n]`, both row-major. Terms are

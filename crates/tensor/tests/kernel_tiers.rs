@@ -8,13 +8,14 @@
 //!   the documented bound is the standard forward-error bound for two different summation
 //!   orders of the same dot product, `|fast − ref| ≤ 2·γ_k·Σ_p|a_p·b_p|` with
 //!   `γ_k = k·ε/(1−k·ε)` (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1);
-//! * the fused-sampling linear kernel matches the per-sample dot-product loop bit for bit.
+//! * the linear kernel, on its AVX2 path and on its portable per-row loop, matches a naive
+//!   per-row dot loop bit for bit.
 
 use bnn_tensor::conv::{reference, ConvGeometry};
 use bnn_tensor::init::splitmix_tensor as fill;
 use bnn_tensor::kernels::{
-    conv2d_forward_into, fused_linear_accumulate, gemm_accumulate_tiered, KernelConfig, KernelTier,
-    TAIL_KC,
+    conv2d_forward_into, gemm_accumulate_tiered, linear_matvec, linear_matvec_portable,
+    KernelConfig, KernelTier, TAIL_KC,
 };
 use bnn_tensor::{Scratch, Tensor};
 use proptest::prelude::*;
@@ -173,45 +174,138 @@ proptest! {
         }
     }
 
-    /// The fused-sampling kernel's i-outer rank-1 updates add each output scalar's terms in
-    /// exactly the per-sample dot-product loop's order — bit-identical, per sample.
+    /// The linear kernel, dispatched and portable, against the naive per-row loop over
+    /// random shapes (past several 8×8 blocks in both directions, with both tails) and C
+    /// pre-seeded.
     #[test]
-    fn fused_linear_matches_per_sample_dot_loops_bitwise(
-        samples in 1usize..18,
-        in_features in 1usize..48,
-        out_features in 1usize..48,
+    fn linear_matvec_matches_the_dot_loop_on_random_shapes(
+        rows in 1usize..80,
+        cols in 1usize..100,
         seed in 0u64..u64::MAX,
     ) {
-        let x = fill(seed, &[samples, in_features]);
-        // Per-sample weights w_s[o, i], packed transposed: wt[i, s·out + o] = w_s[o, i].
-        let w = fill(seed ^ 0xD1CE, &[samples, out_features, in_features]);
-        let mut wt = vec![0.0f32; in_features * samples * out_features];
-        for s in 0..samples {
-            for o in 0..out_features {
-                for i in 0..in_features {
-                    wt[i * samples * out_features + s * out_features + o] =
-                        w.data()[(s * out_features + o) * in_features + i];
-                }
-            }
-        }
-        let mut fused = vec![0.0f32; samples * out_features];
-        fused_linear_accumulate(&mut fused, x.data(), &wt, samples, in_features, out_features);
-
-        for s in 0..samples {
-            for o in 0..out_features {
-                let mut acc = 0.0f32;
-                for i in 0..in_features {
-                    acc += w.data()[(s * out_features + o) * in_features + i]
-                        * x.data()[s * in_features + i];
-                }
-                prop_assert_eq!(
-                    fused[s * out_features + o].to_bits(),
-                    acc.to_bits(),
-                    "sample {} output {}", s, o,
-                );
-            }
+        let x = fill(seed, &[cols]);
+        let w = fill(seed ^ 0xD1CE, &[rows, cols]);
+        let c0 = fill(seed ^ 0x5EED, &[rows]);
+        let want = naive_linear(c0.data(), w.data(), x.data());
+        for (path, got) in linear_paths(c0.data(), w.data(), x.data()) {
+            assert_bits_eq(&got, &want, path)?;
         }
     }
+}
+
+/// `c0[o] + Σ_i w[o, i]·x[i]`, one ascending chain per row: the linear kernel's oracle.
+fn naive_linear(c0: &[f32], w: &[f32], x: &[f32]) -> Vec<f32> {
+    let cols = x.len();
+    let mut c = c0.to_vec();
+    for (o, acc) in c.iter_mut().enumerate() {
+        for i in 0..cols {
+            *acc += w[o * cols + i] * x[i];
+        }
+    }
+    c
+}
+
+/// The dispatched linear kernel (AVX2 where the CPU has it) and the portable per-row loop,
+/// each on a fresh copy of `c0`.
+fn linear_paths(c0: &[f32], w: &[f32], x: &[f32]) -> [(&'static str, Vec<f32>); 2] {
+    let mut dispatched = c0.to_vec();
+    linear_matvec(&mut dispatched, w, x);
+    let mut portable = c0.to_vec();
+    linear_matvec_portable(&mut portable, w, x);
+    [("dispatched", dispatched), ("portable", portable)]
+}
+
+/// Asserts `got` equals `want` bit for bit, except that a NaN output only has to be NaN:
+/// Rust leaves the payload of a NaN result unspecified, so the compiler may pick either
+/// operand's when two NaNs meet.
+fn assert_linear_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (o, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        assert!(
+            same,
+            "{what}: output {o}: {g} ({:#010x}) vs {w} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// Every shape up to 33 rows × 40 columns (four full 8-row blocks plus every row tail, five
+/// full 8-column blocks plus every column tail), then the proxies' linear shapes (B-LeNet
+/// 64×144 and 3×64, B-MLP 48×64, 32×48 and 4×32) and the paper B-MLP's 400×784, with C
+/// pre-seeded.
+#[test]
+fn linear_matvec_matches_the_dot_loop_on_small_and_model_shapes() {
+    let small = (1..=33usize).flat_map(|rows| (1..=40usize).map(move |cols| (rows, cols)));
+    let models = [(64, 144), (48, 64), (32, 48), (4, 32), (3, 64), (400, 784)];
+    for (rows, cols) in small.chain(models) {
+        let seed = (rows * 1000 + cols) as u64;
+        let x = fill(seed, &[cols]);
+        let w = fill(seed ^ 0xD1CE, &[rows, cols]);
+        let c0 = fill(seed ^ 0x5EED, &[rows]);
+        let want = naive_linear(c0.data(), w.data(), x.data());
+        for (path, got) in linear_paths(c0.data(), w.data(), x.data()) {
+            assert_linear_bits(&got, &want, &format!("{path} {rows}x{cols}"));
+        }
+    }
+}
+
+/// ±0.0, subnormals, ±∞ and NaN planted one at a time at every position of W, of x and of
+/// C, over a 17×19 shape (two full 8×8 blocks each way plus both tails) whose other entries
+/// include zeros of both signs, so ∞·0 and ∞ − ∞ occur too. Then all-zero operands of mixed
+/// signs, so the sign of every zero output must survive the lane-wise adds.
+#[test]
+fn linear_matvec_keeps_signed_zeros_subnormals_infinities_and_nans() {
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE / 3.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    let (rows, cols) = (17, 19);
+    let ordinary = |i: usize| match i % 7 {
+        0 => 0.0,
+        3 => -0.0,
+        k => (k as f32 - 3.5) * 0.375,
+    };
+    let w: Vec<f32> = (0..rows * cols).map(|i| ordinary(i * 5 + 1)).collect();
+    let x: Vec<f32> = (0..cols).map(|i| ordinary(i * 3 + 2)).collect();
+    let c0: Vec<f32> = (0..rows).map(ordinary).collect();
+    let check = |w: &[f32], x: &[f32], c0: &[f32], what: &str| {
+        let want = naive_linear(c0, w, x);
+        for (path, got) in linear_paths(c0, w, x) {
+            assert_linear_bits(&got, &want, &format!("{path}, {what}"));
+        }
+    };
+    for v in specials {
+        for at in 0..w.len() {
+            let mut planted = w.clone();
+            planted[at] = v;
+            check(&planted, &x, &c0, &format!("w[{at}] = {v:e}"));
+        }
+        for at in 0..x.len() {
+            let mut planted = x.clone();
+            planted[at] = v;
+            check(&w, &planted, &c0, &format!("x[{at}] = {v:e}"));
+        }
+        for at in 0..c0.len() {
+            let mut planted = c0.clone();
+            planted[at] = v;
+            check(&w, &x, &planted, &format!("c[{at}] = {v:e}"));
+        }
+    }
+    let signed_zero = |i: usize| if i % 3 == 1 { -0.0 } else { 0.0 };
+    let zeros_w: Vec<f32> = (0..rows * cols).map(|i| signed_zero(i / 2)).collect();
+    let zeros_x: Vec<f32> = (0..cols).map(|i| signed_zero(i + 1)).collect();
+    let zeros_c: Vec<f32> = (0..rows).map(|o| if o % 2 == 0 { -0.0 } else { 0.0 }).collect();
+    let all_negative_w = vec![-0.0f32; rows * cols];
+    check(&zeros_w, &zeros_x, &zeros_c, "signed zeros");
+    check(&all_negative_w, &vec![0.0; cols], &zeros_c, "negative-zero products");
 }
 
 /// Every column tail of the `Simd` tier against `Reference`, bit for bit: each tail width
