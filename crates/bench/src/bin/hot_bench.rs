@@ -10,10 +10,14 @@
 //!    ratio;
 //! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks — the
 //!    `eps_generate` and `eps_retrieve` ratios gated by `bench_regression`;
-//! 3. a traced engine run against the identical untraced run (responses asserted
-//!    byte-identical) — the `obs_overhead` ratio gated by `bench_regression`;
+//! 3. a traced engine run's recorder writes against the untraced run (responses asserted
+//!    byte-identical traced and untraced) — the `obs_overhead` ratio gated by
+//!    `bench_regression`;
 //! 4. fused against per-sample training steps on the B-LeNet proxy at `S = 8` (losses
-//!    asserted bit-identical) — the ungated `fused_training` ratio;
+//!    asserted bit-identical) — the ungated `fused_training` ratio — and a linear layer's
+//!    one-pass training kernels against the stored-sample composition they replaced, at
+//!    64×144 and 48×64 over 8 samples (scores and gradients asserted bit-identical) — the
+//!    ungated `training_passes` ratio;
 //! 5. the steady-state allocation counts of a full training iteration, a served request and
 //!    a *traced* served request (serving plus recorder writes), measured **at the
 //!    allocator** via the binary's counting `#[global_allocator]` — all must be zero after
@@ -32,8 +36,8 @@ use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{
     full_json, geometric_mean, run_epsilon_bench, run_fused_serve_bench, run_fused_training_bench,
     run_kernel_benches, run_linear_benches, run_obs_overhead_bench, run_tail_benches,
-    run_tier_benches, summary_json, EpsilonBench, KernelBench, LinearBench, ServeProbe, TierBench,
-    TracedServeProbe, TrainingProbe,
+    run_tier_benches, run_training_pass_benches, summary_json, EpsilonBench, KernelBench,
+    LinearBench, ServeProbe, TierBench, TracedServeProbe, TrainingPassBench, TrainingProbe,
 };
 use shift_bnn_bench::print_table;
 
@@ -115,6 +119,7 @@ fn main() {
     let linear = run_linear_benches(args.reps);
     let fused = run_fused_serve_bench(args.reps, 16);
     let fused_training = run_fused_training_bench(args.reps, 8);
+    let passes = run_training_pass_benches(args.reps, 8);
     let obs = run_obs_overhead_bench(args.reps, 48);
     let epsilon = run_epsilon_bench(args.reps, 16 * 1024);
 
@@ -195,6 +200,24 @@ fn main() {
         fused_training.digest
     );
 
+    let rows: Vec<Vec<String>> = passes
+        .iter()
+        .map(|p: &TrainingPassBench| {
+            vec![
+                p.name.to_string(),
+                p.samples.to_string(),
+                format!("{:.1}", p.composed_ns / 1e3),
+                format!("{:.1}", p.one_pass_ns / 1e3),
+                format!("{:.2}x", p.speedup()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Linear training passes: stored-sample composition vs one pass per weight (bit-identical)",
+        &["shape", "samples", "composed µs", "one-pass µs", "speedup"],
+        &rows,
+    );
+
     let e: &EpsilonBench = &epsilon;
     println!(
         "ε generation ({} values): bit-serial {:.1} µs, word-parallel {:.1} µs ({:.2}x), \
@@ -213,12 +236,12 @@ fn main() {
         e.retrieve_speedup(),
     );
     println!(
-        "traced serving ({} requests, {} events): untraced {:.1} µs, traced {:.1} µs \
-         ({:.3}x, responses byte-identical)",
+        "traced serving ({} requests, {} events): serving {:.1} µs, recording {:.2} µs \
+         (serving / (serving + recording) {:.4}, responses byte-identical)",
         obs.requests,
         obs.events,
-        obs.untraced_ns / 1e3,
-        obs.traced_ns / 1e3,
+        obs.serving_ns / 1e3,
+        obs.tracing_ns / 1e3,
         obs.overhead(),
     );
     println!(
@@ -245,6 +268,7 @@ fn main() {
             &linear,
             &fused,
             &fused_training,
+            &passes,
             &obs,
             &epsilon,
             train_allocs,

@@ -15,6 +15,9 @@
 //! * **fused training** — two B-LeNet-proxy trainers at `S = 8`, one with the fused
 //!   forward walk ([`Trainer::set_fused_forward`]), asserted to train bit-identically before
 //!   either is timed;
+//! * **training passes** — a Bayesian linear layer's forward sampling-and-scoring and its
+//!   backward, one pass per weight each, against the stored-sample composition they
+//!   replaced, asserted bit-identical before either is timed;
 //! * **steady-state probes** — a full training iteration ([`TrainingProbe`]) and a served
 //!   request ([`ServeProbe`]), used by the allocation-counting test and by `hot_bench` to
 //!   assert the zero-allocation steady state at the allocator.
@@ -28,6 +31,7 @@ use bnn_serve::{
     BatchPolicy, EngineSpec, InferRequest, InferResponse, InferenceEngine, ModelSpec, ServeReplica,
     WorkloadSpec,
 };
+use bnn_tensor::activation::softplus;
 use bnn_tensor::conv::{reference, ConvGeometry};
 use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_into, conv2d_forward_into,
@@ -35,7 +39,7 @@ use bnn_tensor::kernels::{
 };
 use bnn_tensor::{KernelConfig, KernelTier, Scratch, Tensor};
 use bnn_train::trainer::{Trainer, TrainerConfig};
-use bnn_train::variational::BayesConfig;
+use bnn_train::variational::{BayesConfig, VariationalParams};
 use bnn_train::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -550,6 +554,198 @@ pub fn run_fused_training_bench(reps: usize, samples: usize) -> FusedBench {
     FusedBench { samples, per_sample_ns, fused_ns, digest: digest_f32(&losses) }
 }
 
+/// Timing of one Bayesian linear layer's training passes — sampling and scoring in the
+/// forward stage, the backward stage — over `samples` ε blocks of one weight matrix: the
+/// one-pass kernels against the stored-sample composition they replaced. The forward's
+/// matvec and the ε draws are left out; both arms take their buffers from a [`Scratch`]
+/// arena as the layer does.
+#[derive(Debug, Clone)]
+pub struct TrainingPassBench {
+    /// Shape identifier (`passes_<out>x<in>`).
+    pub name: &'static str,
+    /// Output rows.
+    pub rows: usize,
+    /// Input columns.
+    pub cols: usize,
+    /// ε blocks (samples) per timed step.
+    pub samples: usize,
+    /// Best-of-reps time of the stored-sample composition, in nanoseconds per step.
+    pub composed_ns: f64,
+    /// Best-of-reps time of the one-pass kernels, in nanoseconds per step.
+    pub one_pass_ns: f64,
+}
+
+impl TrainingPassBench {
+    /// composition / one-pass wall-clock ratio.
+    pub fn speedup(&self) -> f64 {
+        self.composed_ns / self.one_pass_ns
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("name", Json::Str(self.name.to_string())),
+            ("rows", Json::UInt(self.rows as u64)),
+            ("cols", Json::UInt(self.cols as u64)),
+            ("samples", Json::UInt(self.samples as u64)),
+            ("composed_ns", Json::Float(self.composed_ns)),
+            ("one_pass_ns", Json::Float(self.one_pass_ns)),
+            ("speedup", Json::Float(self.speedup())),
+        ])
+    }
+}
+
+/// The operands of one linear layer's training samples: input, output gradient (every third
+/// row zero, as behind a ReLU), one ε block per sample, and ln σ for the composition's
+/// complexity sum.
+struct PassOperands {
+    x: Vec<f32>,
+    g: Vec<f32>,
+    eps: Vec<Vec<f32>>,
+    ln_sigma: Vec<f64>,
+    config: BayesConfig,
+}
+
+/// The complexity sum as the composition ran it: 256 terms at a time into a stack array,
+/// then added to one f64 total in ascending order.
+fn chunked_complexity(w: &[f32], eps: &[f32], ln_sigma: &[f64], prior_sigma: f32) -> f32 {
+    let ln_prior_sigma = (prior_sigma as f64).ln();
+    let prior_var = (prior_sigma as f64).powi(2);
+    let mut terms = [0.0f64; 256];
+    let mut total = 0.0f64;
+    for ((ws, es), ln_ss) in w.chunks(256).zip(eps.chunks(256)).zip(ln_sigma.chunks(256)) {
+        let terms = &mut terms[..ws.len()];
+        for (((t, &w), &e), &ln_s) in terms.iter_mut().zip(ws).zip(es).zip(ln_ss) {
+            let log_q = -ln_s - 0.5 * (e as f64) * (e as f64);
+            let log_p = -ln_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
+            *t = log_q - log_p;
+        }
+        for &t in terms.iter() {
+            total += t;
+        }
+    }
+    total as f32
+}
+
+/// One training step's linear-layer passes through the stored-sample composition: per
+/// sample, a stored sample and its complexity sum, then a second stored sample, `Wᵀ·g` as
+/// contiguous axpys, the outer product `g ⊗ x` and the per-weight gradients. Returns the
+/// scores and leaves the last sample's input gradient in `grad_input`.
+fn composed_passes(
+    p: &mut VariationalParams,
+    ops: &PassOperands,
+    grad_input: &mut [f32],
+    scratch: &mut Scratch,
+) -> f32 {
+    let (cols, precision) = (ops.x.len(), ops.config.precision);
+    let mut score = 0.0;
+    for eps in &ops.eps {
+        let mut w = scratch.take_tensor(p.shape());
+        p.sample_into(eps, precision, &mut w);
+        score += chunked_complexity(w.data(), eps, &ops.ln_sigma, ops.config.prior_sigma);
+        scratch.put_tensor(w);
+
+        let mut w = scratch.take_tensor(p.shape());
+        p.sample_into(eps, precision, &mut w);
+        grad_input.fill(0.0);
+        for (row, &gv) in w.data().chunks_exact(cols).zip(&ops.g) {
+            for (c, &wv) in grad_input.iter_mut().zip(row) {
+                *c += wv * gv;
+            }
+        }
+        let mut grad_w = scratch.take_tensor(p.shape());
+        for (row, &gv) in grad_w.data_mut().chunks_exact_mut(cols).zip(&ops.g) {
+            if gv != 0.0 {
+                for (r, &xv) in row.iter_mut().zip(&ops.x) {
+                    *r = gv * xv;
+                }
+            }
+        }
+        p.accumulate_gradients(&grad_w, &w, eps, &ops.config);
+        scratch.put_tensor(grad_w);
+        scratch.put_tensor(w);
+    }
+    score
+}
+
+/// [`composed_passes`] through the one-pass kernels:
+/// [`VariationalParams::sample_and_score_into`] and [`VariationalParams::linear_backward`].
+fn one_pass_passes(
+    p: &mut VariationalParams,
+    ops: &PassOperands,
+    grad_input: &mut [f32],
+    scratch: &mut Scratch,
+) -> f32 {
+    let (precision, prior_sigma) = (ops.config.precision, ops.config.prior_sigma);
+    let mut score = 0.0;
+    for eps in &ops.eps {
+        let mut w = scratch.take_tensor(p.shape());
+        score += p.sample_and_score_into(eps, precision, &mut w, prior_sigma);
+        scratch.put_tensor(w);
+        grad_input.fill(0.0);
+        p.linear_backward(eps, &ops.g, &ops.x, grad_input, &ops.config);
+    }
+    score
+}
+
+/// Times a linear layer's training passes against the stored-sample composition on the
+/// B-LeNet proxy's 64×144 and the B-MLP proxy's 48×64 weight matrices, `samples` ε blocks
+/// per step, in alternation.
+///
+/// # Panics
+///
+/// Panics if the two arms' scores, input gradients, ∂μ or ∂ρ differ in any bit.
+pub fn run_training_pass_benches(reps: usize, samples: usize) -> Vec<TrainingPassBench> {
+    [("passes_64x144", 64, 144), ("passes_48x64", 48, 64)]
+        .into_iter()
+        .map(|(name, rows, cols)| {
+            let len = rows * cols;
+            let config = BayesConfig::default();
+            let mu = fill_tensor(0x9A55 ^ rows as u64, &[rows, cols]);
+            let rho = fill_tensor(0x2E0 ^ cols as u64, &[rows, cols]).map(|r| r - 4.0);
+            let ln_sigma = rho.data().iter().map(|&r| (softplus(r) as f64).ln()).collect();
+            let zeros = Tensor::zeros(&[rows, cols]);
+            let params = VariationalParams::from_raw(mu, rho, zeros.clone(), zeros).unwrap();
+            let mut g = fill_tensor(0x6AD ^ rows as u64, &[rows]).data().to_vec();
+            g.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+            let ops = PassOperands {
+                x: fill_tensor(0x1A9 ^ cols as u64, &[cols]).data().to_vec(),
+                g,
+                eps: (0..samples as u64)
+                    .map(|s| {
+                        fill_tensor(0xE95 + s, &[len]).data().iter().map(|e| e * 2.0).collect()
+                    })
+                    .collect(),
+                ln_sigma,
+                config,
+            };
+            let (mut composed, mut one_pass) = (params.clone(), params);
+            let (mut composed_in, mut one_pass_in) = (vec![0.0f32; cols], vec![0.0f32; cols]);
+            let (mut composed_scratch, mut one_pass_scratch) = (Scratch::new(), Scratch::new());
+            let a = composed_passes(&mut composed, &ops, &mut composed_in, &mut composed_scratch);
+            let b = one_pass_passes(&mut one_pass, &ops, &mut one_pass_in, &mut one_pass_scratch);
+            assert_eq!(a.to_bits(), b.to_bits(), "{name}: complexity scores diverged");
+            let pairs = [
+                ("input gradient", &composed_in[..], &one_pass_in[..]),
+                ("∂μ", composed.grad_mu().data(), one_pass.grad_mu().data()),
+                ("∂ρ", composed.grad_rho().data(), one_pass.grad_rho().data()),
+            ];
+            for (what, want, got) in pairs {
+                assert_eq!(digest_f32(want), digest_f32(got), "{name}: {what} diverged");
+            }
+            let (composed_ns, one_pass_ns) = best_of_alternating(
+                reps,
+                || {
+                    composed_passes(&mut composed, &ops, &mut composed_in, &mut composed_scratch);
+                },
+                || {
+                    one_pass_passes(&mut one_pass, &ops, &mut one_pass_in, &mut one_pass_scratch);
+                },
+            );
+            TrainingPassBench { name, rows, cols, samples, composed_ns, one_pass_ns }
+        })
+        .collect()
+}
+
 /// Timing result of the ε-generation and ε-retrieval comparisons.
 #[derive(Debug, Clone)]
 pub struct EpsilonBench {
@@ -868,9 +1064,11 @@ impl Default for TracedServeProbe {
     }
 }
 
-/// Timing of a traced engine run against the identical untraced run (the observability
-/// overhead arm): one single-worker B-LeNet engine over a uniform trace, responses asserted
-/// byte-identical tracing-on vs tracing-off before either is timed.
+/// Timing of the observability overhead arm: one single-worker B-LeNet engine over a
+/// uniform trace, responses asserted byte-identical tracing-on vs tracing-off, then a fixed
+/// amount of tracing work timed against a fixed amount of serving work, in alternation.
+/// The tracing work is the events the traced run recorded, written again into a warmed
+/// [`TraceRecorder`]; the serving work is the untraced engine run.
 #[derive(Debug, Clone)]
 pub struct ObsOverheadBench {
     /// Requests per engine run.
@@ -878,23 +1076,25 @@ pub struct ObsOverheadBench {
     /// Events the traced run records.
     pub events: usize,
     /// Untraced `InferenceEngine::run`, nanoseconds per run.
-    pub untraced_ns: f64,
-    /// Traced `InferenceEngine::run_traced` into a warmed recorder, nanoseconds per run.
-    pub traced_ns: f64,
+    pub serving_ns: f64,
+    /// Recording the traced run's events into a warmed recorder, nanoseconds per run.
+    pub tracing_ns: f64,
     /// FNV-1a digest of the (identical) response document.
     pub digest: String,
 }
 
 impl ObsOverheadBench {
-    /// untraced / traced wall-clock ratio — the `obs_overhead` gate: ≥ 0.95 means the
-    /// enabled recorder costs at most ~5% of an engine run.
+    /// serving / (serving + tracing) — an untraced run's time over a traced run's, built
+    /// from the two parts timed apart, so the serving run's noise does not swamp the small
+    /// tracing share. The `obs_overhead` gate: ≥ 0.95 means recording a run's events costs
+    /// at most ~5% of the run.
     pub fn overhead(&self) -> f64 {
-        self.untraced_ns / self.traced_ns
+        self.serving_ns / (self.serving_ns + self.tracing_ns)
     }
 }
 
-/// Benchmarks a traced engine run against the untraced run over `requests` B-LeNet
-/// Monte-Carlo requests, timing the two in alternation.
+/// Benchmarks the tracing work of a traced engine run against the untraced run over
+/// `requests` B-LeNet Monte-Carlo requests, timing the two in alternation.
 ///
 /// # Panics
 ///
@@ -912,18 +1112,27 @@ pub fn run_obs_overhead_bench(reps: usize, requests: usize) -> ObsOverheadBench 
         traced.responses_json(),
         "responses must be byte-identical tracing-on vs tracing-off"
     );
-    let events = recorder.len();
-    let (untraced_ns, traced_ns) = best_of_alternating(
+    let events = recorder.events().to_vec();
+    let (serving_ns, tracing_ns) = best_of_alternating(
         reps,
         || {
             std::hint::black_box(engine.run(&trace));
         },
         || {
             recorder.clear();
-            std::hint::black_box(engine.run_traced(&trace, &[], &mut recorder));
+            for &event in &events {
+                recorder.record(std::hint::black_box(event));
+            }
+            std::hint::black_box(&recorder);
         },
     );
-    ObsOverheadBench { requests, events, untraced_ns, traced_ns, digest: traced.responses_digest() }
+    ObsOverheadBench {
+        requests,
+        events: events.len(),
+        serving_ns,
+        tracing_ns,
+        digest: traced.responses_digest(),
+    }
 }
 
 /// Builds the **deterministic** summary document committed as `BENCH_hot_summary.json` and
@@ -972,8 +1181,8 @@ pub fn summary_json(
 
 /// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings,
 /// speedups and the geometric mean alongside everything in the summary, plus PR 8's
-/// per-tier GEMM arms, the proxy's column-tail GEMM arms, the fused-serving and
-/// fused-training arms and the named `speedups` object gated by
+/// per-tier GEMM arms, the proxy's column-tail GEMM arms, the fused-serving,
+/// fused-training and training-pass arms and the named `speedups` object gated by
 /// `bench_regression --min-speedup`.
 #[allow(clippy::too_many_arguments)]
 pub fn full_json(
@@ -983,6 +1192,7 @@ pub fn full_json(
     linear: &[LinearBench],
     fused: &FusedBench,
     fused_training: &FusedBench,
+    passes: &[TrainingPassBench],
     obs: &ObsOverheadBench,
     epsilon: &EpsilonBench,
     train_allocs: u64,
@@ -993,6 +1203,7 @@ pub fn full_json(
     let simd: Vec<f64> = tiers.iter().map(TierBench::simd_speedup).collect();
     let simd_tails: Vec<f64> = tails.iter().map(TierBench::simd_speedup).collect();
     let linear_speedups: Vec<f64> = linear.iter().map(LinearBench::speedup).collect();
+    let pass_speedups: Vec<f64> = passes.iter().map(TrainingPassBench::speedup).collect();
     Json::obj([
         (
             "kernels",
@@ -1018,13 +1229,14 @@ pub fn full_json(
         ("linear_matvec", Json::Array(linear.iter().map(LinearBench::json).collect())),
         ("fused_serving", fused.json()),
         ("fused_training", fused_training.json()),
+        ("training_passes", Json::Array(passes.iter().map(TrainingPassBench::json).collect())),
         (
             "obs_serving",
             Json::obj([
                 ("requests", Json::UInt(obs.requests as u64)),
                 ("events", Json::UInt(obs.events as u64)),
-                ("untraced_ns", Json::Float(obs.untraced_ns)),
-                ("traced_ns", Json::Float(obs.traced_ns)),
+                ("serving_ns", Json::Float(obs.serving_ns)),
+                ("tracing_ns", Json::Float(obs.tracing_ns)),
                 ("overhead", Json::Float(obs.overhead())),
                 ("digest", Json::Str(obs.digest.clone())),
             ]),
@@ -1037,6 +1249,7 @@ pub fn full_json(
                 ("linear_matvec", Json::Float(geometric_mean(&linear_speedups))),
                 ("fused_sampling", Json::Float(fused.speedup())),
                 ("fused_training", Json::Float(fused_training.speedup())),
+                ("training_passes", Json::Float(geometric_mean(&pass_speedups))),
                 ("obs_overhead", Json::Float(obs.overhead())),
                 ("eps_generate", Json::Float(epsilon.speedup())),
                 ("eps_retrieve", Json::Float(epsilon.retrieve_speedup())),
@@ -1112,12 +1325,23 @@ mod tests {
     }
 
     #[test]
+    fn training_pass_benches_pin_bit_identity_before_timing() {
+        let passes = run_training_pass_benches(1, 2);
+        assert_eq!(passes.len(), 2);
+        for p in &passes {
+            assert_eq!((p.samples, p.rows * p.cols > 0), (2, true), "{}", p.name);
+            assert!(p.composed_ns > 0.0 && p.one_pass_ns > 0.0, "{}", p.name);
+        }
+    }
+
+    #[test]
     fn full_json_names_the_gated_speedups() {
         let kernels = run_kernel_benches(1);
         let tiers = run_tier_benches(1);
         let tails = run_tail_benches(1);
         let fused = run_fused_serve_bench(1, 4);
         let fused_training = run_fused_training_bench(1, 2);
+        let passes = run_training_pass_benches(1, 2);
         let obs = run_obs_overhead_bench(1, 8);
         let epsilon = run_epsilon_bench(1, 128);
         let linear = run_linear_benches(1);
@@ -1128,6 +1352,7 @@ mod tests {
             &linear,
             &fused,
             &fused_training,
+            &passes,
             &obs,
             &epsilon,
             0,
@@ -1142,6 +1367,7 @@ mod tests {
             "linear_matvec",
             "fused_sampling",
             "fused_training",
+            "training_passes",
             "obs_overhead",
             "eps_generate",
             "eps_retrieve",
@@ -1156,7 +1382,8 @@ mod tests {
         assert_eq!(obs.requests, 8);
         assert!(obs.events > 0, "the traced run must record events");
         assert_eq!(obs.digest.len(), 16);
-        assert!(obs.untraced_ns > 0.0 && obs.traced_ns > 0.0);
+        assert!(obs.serving_ns > 0.0 && obs.tracing_ns > 0.0);
+        assert!(obs.overhead() > 0.0 && obs.overhead() < 1.0);
     }
 
     #[test]

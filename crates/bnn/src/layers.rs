@@ -20,7 +20,7 @@ use bnn_tensor::activation::{relu_backward_into, relu_into};
 use bnn_tensor::conv::ConvGeometry;
 use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_packed, conv2d_forward_packed,
-    gemm_at_accumulate, linear_matvec, pack_im2col, pack_im2row,
+    linear_matvec, pack_im2col, pack_im2row,
 };
 use bnn_tensor::pool::{max_pool2d_backward_into, max_pool2d_into};
 use bnn_tensor::{Scratch, Tensor, TensorError};
@@ -321,29 +321,23 @@ impl BayesLinear {
         self.out_features
     }
 
-    /// Samples this layer's weights for the current ε block into a scratch tensor.
-    fn sample_weights(&mut self, epsilon: &[f32], scratch: &mut Scratch) -> Tensor {
-        let mut w = scratch.take_tensor(self.weights.shape());
-        self.weights.sample_into(epsilon, self.config.precision, &mut w);
-        w
-    }
-
-    /// Draws one sample's ε block into `epsilon` and returns the sampled weights; when
-    /// `train`, also adds the sample's complexity term.
+    /// Draws one sample's ε block into `epsilon` and samples the weights into `w`; when
+    /// `train`, scores the sample's complexity term in the same pass and adds it.
     fn draw(
         &mut self,
         eps: &mut dyn EpsilonSource,
         epsilon: &mut [f32],
+        w: &mut Tensor,
         train: bool,
-        scratch: &mut Scratch,
-    ) -> Tensor {
+    ) {
         eps.generate_block_into(epsilon);
-        let w = self.sample_weights(epsilon, scratch);
+        let (precision, prior_sigma) = (self.config.precision, self.config.prior_sigma);
         if train {
             self.accumulated_complexity += self.config.kl_weight
-                * self.weights.complexity_loss(&w, epsilon, self.config.prior_sigma);
+                * self.weights.sample_and_score_into(epsilon, precision, w, prior_sigma);
+        } else {
+            self.weights.sample_into(epsilon, precision, w);
         }
-        w
     }
 
     /// Writes `quantize(w·x + b)` into a zeroed `out` with [`linear_matvec`], whose outputs
@@ -371,7 +365,8 @@ impl Layer for BayesLinear {
             });
         }
         let mut epsilon = scratch.take_f32(self.weights.len());
-        let w = self.draw(eps, &mut epsilon, true, scratch);
+        let mut w = scratch.take_tensor(self.weights.shape());
+        self.draw(eps, &mut epsilon, &mut w, true);
         let mut out = scratch.take_tensor(&[self.out_features]);
         self.answer(&w, input.data(), out.data_mut());
         scratch.put_tensor(w);
@@ -381,8 +376,8 @@ impl Layer for BayesLinear {
     }
 
     /// Each sample runs [`BayesLinear::forward`]'s steps straight into its row of the
-    /// stacked output, reusing one ε buffer. When `train` is false the complexity-loss sum
-    /// and the input cache are skipped.
+    /// stacked output, reusing one ε buffer and one sampled-weight buffer. When `train` is
+    /// false the complexity-loss sum and the input cache are skipped.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -400,23 +395,26 @@ impl Layer for BayesLinear {
         }
         assert!(sources.len() >= samples, "fused forward needs one ε source per sample");
         let mut epsilon = scratch.take_f32(self.weights.len());
+        let mut w = scratch.take_tensor(self.weights.shape());
         let mut out = scratch.take_tensor(&[samples, outf]);
         let rows = stacked.data().chunks_exact(inf).zip(out.data_mut().chunks_exact_mut(outf));
         for (s, ((x, row), source)) in rows.zip(sources.iter_mut()).enumerate() {
-            let w = self.draw(source.as_mut(), &mut epsilon, train, scratch);
+            self.draw(source.as_mut(), &mut epsilon, &mut w, train);
             self.answer(&w, x, row);
-            scratch.put_tensor(w);
             if train {
                 let mut input = scratch.take_tensor(&[inf]);
                 input.data_mut().copy_from_slice(x);
                 cache_tensor(&mut self.cached_inputs, s, input, scratch);
             }
         }
+        scratch.put_tensor(w);
         scratch.put_f32(epsilon);
         scratch.put_tensor(stacked);
         Ok(out)
     }
 
+    /// Retrieves the sample's ε and runs [`VariationalParams::linear_backward`]: one pass
+    /// that samples each weight, back-propagates through it and accumulates its ∂μ and ∂ρ.
     fn backward(
         &mut self,
         sample: usize,
@@ -433,43 +431,22 @@ impl Layer for BayesLinear {
         let input = self.cached_inputs[sample]
             .take()
             .expect("backward called for a sample without a cached forward");
-        // Reconstruct the sampled weights from the retrieved ε (process ② of the paper).
+        // Reconstruct the sampled weights from the retrieved ε (process ② of the paper),
+        // weight by weight inside the backward pass.
         let mut epsilon = scratch.take_f32(self.weights.len());
         eps.retrieve_block_into(&mut epsilon);
-        let w = self.sample_weights(&epsilon, scratch);
-
-        // Gradient w.r.t. the input: Wᵀ · grad_output, without materializing Wᵀ.
         let mut grad_input = scratch.take_tensor(&[self.in_features]);
-        gemm_at_accumulate(
-            grad_input.data_mut(),
-            w.data(),
+        self.weights.linear_backward(
+            &epsilon,
             grad_output.data(),
-            self.in_features,
-            self.out_features,
-            1,
+            input.data(),
+            grad_input.data_mut(),
+            &self.config,
         );
-
-        // Likelihood gradient w.r.t. the weights: grad_output ⊗ input.
-        let mut grad_w = scratch.take_tensor(self.weights.shape());
-        {
-            let gw = grad_w.data_mut();
-            for (i, &g) in grad_output.data().iter().enumerate() {
-                if g == 0.0 {
-                    continue; // row stays zero, as in the sparse outer product
-                }
-                let row = &mut gw[i * self.in_features..(i + 1) * self.in_features];
-                for (r, &xv) in row.iter_mut().zip(input.data()) {
-                    *r = g * xv;
-                }
-            }
-        }
-        self.weights.accumulate_gradients(&grad_w, &w, &epsilon, &self.config);
         for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(grad_output.data()) {
             *gb += g;
         }
 
-        scratch.put_tensor(grad_w);
-        scratch.put_tensor(w);
         scratch.put_f32(epsilon);
         scratch.put_tensor(input);
         scratch.put_tensor(grad_output);
@@ -726,9 +703,10 @@ impl Layer for BayesConv2d {
 
         let mut epsilon = scratch.take_f32(self.weights.len());
         eps.generate_block_into(&mut epsilon);
-        let w = self.sample_weights(&epsilon, scratch);
+        let mut w = scratch.take_tensor(self.weights.shape());
+        let (precision, prior_sigma) = (self.config.precision, self.config.prior_sigma);
         self.accumulated_complexity += self.config.kl_weight
-            * self.weights.complexity_loss(&w, &epsilon, self.config.prior_sigma);
+            * self.weights.sample_and_score_into(&epsilon, precision, &mut w, prior_sigma);
 
         // When this input is bitwise the previous sample's, the panel already holds its
         // im2col — the first layer's case, where every sample reads the same example.
@@ -1387,6 +1365,154 @@ mod tests {
         }
         assert_eq!(layer_a.weights().mu(), layer_b.weights().mu());
         assert_eq!(layer_a.weights().rho(), layer_b.weights().rho());
+    }
+
+    /// An ε source that hands out one fixed block in both directions.
+    struct FixedEps(Vec<f32>);
+
+    impl EpsilonSource for FixedEps {
+        fn generate_block_into(&mut self, out: &mut [f32]) {
+            out.copy_from_slice(&self.0);
+        }
+
+        fn retrieve_block_into(&mut self, out: &mut [f32]) {
+            out.copy_from_slice(&self.0);
+        }
+
+        fn reseed(&mut self, _seed: u64) {}
+
+        fn state(&self) -> crate::epsilon::SourceState {
+            unreachable!("fixed test blocks are never captured")
+        }
+
+        fn restore(
+            &mut self,
+            _state: &crate::epsilon::SourceState,
+        ) -> Result<(), bnn_lfsr::LfsrError> {
+            unreachable!("fixed test blocks are never restored")
+        }
+
+        fn stores_offchip(&self) -> bool {
+            false
+        }
+
+        fn stored_values(&self) -> u64 {
+            0
+        }
+
+        fn reset_iteration(&mut self) {}
+    }
+
+    /// Bits, with every NaN mapped to one pattern (Rust leaves NaN payloads unspecified).
+    fn canonical_bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+    }
+
+    /// Writes `values` cyclically into every `every`-th slot of `v` from `offset` on.
+    fn plant(v: &mut [f32], every: usize, offset: usize, values: &[f32]) {
+        for (j, slot) in v.iter_mut().skip(offset).step_by(every).enumerate() {
+            *slot = values[j % values.len()];
+        }
+    }
+
+    #[test]
+    fn linear_backward_equals_the_stored_sample_composition() {
+        use bnn_tensor::init::splitmix_tensor;
+        use bnn_tensor::kernels::gemm_at_accumulate;
+        use bnn_tensor::Precision;
+        const TINY: [f32; 4] = [0.0, -0.0, 1e-40, -1e-40];
+        const NON_FINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let all_special: Vec<f32> = TINY.iter().chain(&NON_FINITE).copied().collect();
+        let fill = |seed: u64, len: usize, scale: f32| {
+            splitmix_tensor(seed, &[len]).data().iter().map(|v| v * scale).collect::<Vec<f32>>()
+        };
+        // Every proxy linear shape (in → out), then the paper B-MLP's first layer.
+        for (inf, outf) in [(144, 64), (64, 3), (64, 48), (48, 32), (32, 4), (784, 400)] {
+            let len = inf * outf;
+            for precision in [Precision::Fp32, Precision::PAPER_16BIT, Precision::PAPER_8BIT] {
+                let config = BayesConfig { precision, kl_weight: 0.1, ..BayesConfig::default() };
+                let shape = [outf, inf];
+                let tensor = |v: Vec<f32>| Tensor::from_vec(shape.to_vec(), v).unwrap();
+                // μ reaches past the 8-bit grid's range; ρ spans σ from 0.0025 to 1.3.
+                let mu = tensor(fill(len as u64, len, 6.0));
+                let rho = tensor((0..len).map(|k| (k % 29) as f32 * 0.25 - 6.0).collect());
+                let zeros = Tensor::zeros(&shape);
+                let params = VariationalParams::from_raw(mu, rho, zeros.clone(), zeros).unwrap();
+                let (mut oracle, mut portable) = (params.clone(), params.clone());
+                let bias = Tensor::zeros(&[outf]);
+                let mut layer =
+                    BayesLinear::from_parts(inf, outf, params, bias.clone(), bias, config).unwrap();
+                let mut want_bias = vec![0.0f32; outf];
+                let mut scratch = Scratch::new();
+                layer.begin_iteration(3, &mut scratch);
+                for s in 0..3u64 {
+                    let case = format!("{inf}→{outf}, {precision:?}, sample {s}");
+                    // x: negatives throughout; ±0.0, subnormals, ±∞ and NaN in samples 0
+                    // and 2, where g has exact-zero rows too.
+                    let mut x = fill(100 + s, inf, 1.0);
+                    plant(&mut x, 13, 2, if s == 1 { &TINY } else { &all_special });
+                    // g: exact zeros of both signs in every third row, subnormals, and in
+                    // sample 1 also ±∞ and NaN.
+                    let mut g = fill(200 + s, outf, 1.0);
+                    plant(&mut g, 3, 1, &[0.0, -0.0]);
+                    plant(&mut g, 7, 0, &TINY[2..]);
+                    if s == 1 {
+                        plant(&mut g, 17, 5, &NON_FINITE);
+                    }
+                    // ε: ±0.0 and subnormals throughout, and in sample 1 also ±∞ and NaN.
+                    let mut eps = fill(300 + s, len, 2.5);
+                    plant(&mut eps, 5, 3, &TINY);
+                    if s == 1 {
+                        plant(&mut eps, 97, 11, &NON_FINITE);
+                    }
+
+                    let mut source = FixedEps(eps.clone());
+                    let input = Tensor::from_vec(vec![inf], x.clone()).unwrap();
+                    let out = layer.forward(s as usize, input, &mut source, &mut scratch).unwrap();
+                    scratch.put_tensor(out);
+                    let grad_output = Tensor::from_vec(vec![outf], g.clone()).unwrap();
+                    let grad_input =
+                        layer.backward(s as usize, grad_output, &mut source, &mut scratch).unwrap();
+
+                    // The old composition: a stored sample, Wᵀ·g, the sparse outer product,
+                    // then the per-weight gradients.
+                    let mut w = Tensor::zeros(&shape);
+                    oracle.sample_into(&eps, precision, &mut w);
+                    let mut want_input = vec![0.0f32; inf];
+                    gemm_at_accumulate(&mut want_input, w.data(), &g, inf, outf, 1);
+                    let mut grad_w = Tensor::zeros(&shape);
+                    for (o, &gv) in g.iter().enumerate() {
+                        if gv != 0.0 {
+                            for (i, &xv) in x.iter().enumerate() {
+                                grad_w.data_mut()[o * inf + i] = gv * xv;
+                            }
+                        }
+                    }
+                    oracle.accumulate_gradients(&grad_w, &w, &eps, &config);
+                    for (b, &gv) in want_bias.iter_mut().zip(&g) {
+                        *b += gv;
+                    }
+                    // The portable body, which AVX2 hosts never dispatch to.
+                    let mut portable_input = vec![0.0f32; inf];
+                    portable.linear_backward_portable(&eps, &g, &x, &mut portable_input, &config);
+
+                    let got = layer.weights();
+                    let grads = [
+                        ("input gradient", grad_input.data(), &want_input[..]),
+                        ("∂μ", got.grad_mu().data(), oracle.grad_mu().data()),
+                        ("∂ρ", got.grad_rho().data(), oracle.grad_rho().data()),
+                        ("bias gradient", layer.grad_bias.data(), &want_bias[..]),
+                        ("portable input gradient", &portable_input[..], &want_input[..]),
+                        ("portable ∂μ", portable.grad_mu().data(), oracle.grad_mu().data()),
+                        ("portable ∂ρ", portable.grad_rho().data(), oracle.grad_rho().data()),
+                    ];
+                    for (what, got, want) in grads {
+                        assert_eq!(canonical_bits(got), canonical_bits(want), "{case}: {what}");
+                    }
+                    scratch.put_tensor(grad_input);
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,12 +17,15 @@
 
 use bnn_tensor::activation::{softplus, softplus_inverse};
 use bnn_tensor::init::{fan_in_out, xavier_uniform};
+#[cfg(target_arch = "x86_64")]
+use bnn_tensor::kernels::avx2_available;
 use bnn_tensor::{Precision, Tensor, TensorError};
 use rand::Rng;
 
-/// Weights per chunk of [`VariationalParams::complexity_loss`]'s term pass (2 KiB of f64 on
-/// the stack).
-const COMPLEXITY_CHUNK: usize = 256;
+/// Weights per chunk of [`VariationalParams::sample_and_score_into`]'s term pass (256 B of
+/// f64 on the stack). A short chunk lets the core compute one chunk's terms while the
+/// previous chunk's adds still run down the f64 chain.
+const SCORE_CHUNK: usize = 32;
 
 /// Hyper-parameters shared by every Bayesian layer of a network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -272,39 +275,37 @@ impl VariationalParams {
         w
     }
 
-    /// Complexity contribution `Σ_i [log q(w_i|θ) − log P(w_i)]` for a sampled weight tensor.
+    /// Samples `w = μ + ε∘σ` into `out` exactly as [`VariationalParams::sample_into`] does and
+    /// returns the sample's complexity contribution `Σ_i [log q(w_i|θ) − log P(w_i)]`, in one
+    /// pass over the weights — the training forward's sampler.
     ///
-    /// The terms are computed a fixed-size chunk at a time, off the summation chain, and then
-    /// added to one f64 total in ascending `i`, so the sum is the one-loop sum bit for bit.
+    /// The pass works 32 weights at a time: it writes their samples, evaluates their f64
+    /// `log q − log p` terms into a stack array, off the summation chain, and then adds them
+    /// to one f64 total in ascending `i`, so the sum is the one-loop sum bit for bit. On CPUs
+    /// with AVX2 the same body runs compiled for AVX2 (no FMA).
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len()` or `epsilon.len()` differs from the parameter count.
-    pub fn complexity_loss(&mut self, weights: &Tensor, epsilon: &[f32], prior_sigma: f32) -> f32 {
-        assert_eq!(weights.len(), self.len(), "weight tensor must match weight count");
+    /// Panics if `epsilon.len()` or `out.len()` differs from the parameter count.
+    pub fn sample_and_score_into(
+        &mut self,
+        epsilon: &[f32],
+        precision: Precision,
+        out: &mut Tensor,
+        prior_sigma: f32,
+    ) -> f32 {
         assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
-        let ln_sigma = &self.cache.training(&self.rho).ln_sigma;
-        let ln_prior_sigma = (prior_sigma as f64).ln();
-        let prior_var = (prior_sigma as f64).powi(2);
-        let mut terms = [0.0f64; COMPLEXITY_CHUNK];
-        let mut total = 0.0f64;
-        let chunks = weights
-            .data()
-            .chunks(COMPLEXITY_CHUNK)
-            .zip(epsilon.chunks(COMPLEXITY_CHUNK))
-            .zip(ln_sigma.chunks(COMPLEXITY_CHUNK));
-        for ((ws, es), ln_ss) in chunks {
-            let terms = &mut terms[..ws.len()];
-            for (((t, &w), &e), &ln_s) in terms.iter_mut().zip(ws).zip(es).zip(ln_ss) {
-                let log_q = -ln_s - 0.5 * (e as f64) * (e as f64);
-                let log_p = -ln_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
-                *t = log_q - log_p;
-            }
-            for &t in terms.iter() {
-                total += t;
-            }
+        assert_eq!(out.len(), self.len(), "output tensor must match weight count");
+        let terms = self.cache.training(&self.rho);
+        let (mu, out) = (self.mu.data(), out.data_mut());
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: guarded by runtime AVX2 detection.
+            let total =
+                unsafe { sample_and_score_avx2(mu, epsilon, terms, precision, prior_sigma, out) };
+            return total as f32;
         }
-        total as f32
+        sample_and_score(mu, epsilon, terms, precision, prior_sigma, out) as f32
     }
 
     /// Accumulates gradients for one sample given the likelihood gradient `∂NLL/∂w`, the sampled
@@ -323,17 +324,90 @@ impl VariationalParams {
         assert_eq!(grad_w_likelihood.len(), self.len());
         assert_eq!(weights.len(), self.len());
         assert_eq!(epsilon.len(), self.len());
-        let inv_prior_var = 1.0 / (config.prior_sigma * config.prior_sigma);
+        let grad = WeightGradient::new(config);
         let terms = self.cache.training(&self.rho);
         let gm = self.grad_mu.data_mut();
         let gr = self.grad_rho.data_mut();
         let (gws, ws) = (grad_w_likelihood.data(), weights.data());
         for i in 0..gm.len() {
-            let total_w_grad = gws[i] + config.kl_weight * ws[i] * inv_prior_var;
-            gm[i] += total_w_grad;
-            let dsigma = epsilon[i] * total_w_grad - config.kl_weight / terms.sigma[i];
-            gr[i] += dsigma * terms.sigmoid[i];
+            let (d_mu, d_rho) =
+                grad.of(gws[i], ws[i], epsilon[i], terms.sigma[i], terms.sigmoid[i]);
+            gm[i] += d_mu;
+            gr[i] += d_rho;
         }
+    }
+
+    /// One sample's backward pass of a linear layer whose `[out, in]` weights these are, in
+    /// one row-wise pass: for each output `o` and input `i` it samples
+    /// `w = quantize(μ + ε·σ)` as [`VariationalParams::sample_into`] does, adds `w·g[o]` to
+    /// `grad_input[i]`, and accumulates ∂μ and ∂ρ from the likelihood gradient `g[o]·x[i]` as
+    /// [`VariationalParams::accumulate_gradients`] does. Neither the sampled matrix nor the
+    /// likelihood gradient is stored.
+    ///
+    /// Every bit equals that composition. Each `grad_input[i]` adds its terms in ascending
+    /// `o`, the order of `kernels::gemm_at_accumulate`. A row whose `g[o]` is zero takes the
+    /// likelihood gradient `+0.0`, as the sparse outer product left it, whatever `x` holds.
+    /// The zero test and the precision are decided once per row, outside the loop over `i`.
+    /// On CPUs with AVX2 the same body runs compiled for AVX2 (no FMA).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epsilon` does not hold one value per weight, the weights are not
+    /// `grad_output.len() × input.len()`, or `grad_input` is not as long as `input`.
+    pub fn linear_backward(
+        &mut self,
+        epsilon: &[f32],
+        grad_output: &[f32],
+        input: &[f32],
+        grad_input: &mut [f32],
+        config: &BayesConfig,
+    ) {
+        assert_eq!(grad_input.len(), input.len(), "input gradient must match the input");
+        let (pass, grad_mu, grad_rho) = self.backward_parts(epsilon, grad_output, input, config);
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: guarded by runtime AVX2 detection.
+            unsafe { linear_backward_avx2(pass, grad_input, grad_mu, grad_rho) };
+            return;
+        }
+        pass.run(grad_input, grad_mu, grad_rho);
+    }
+
+    /// [`VariationalParams::linear_backward`] on its portable body, whatever the CPU.
+    #[cfg(test)]
+    pub(crate) fn linear_backward_portable(
+        &mut self,
+        epsilon: &[f32],
+        grad_output: &[f32],
+        input: &[f32],
+        grad_input: &mut [f32],
+        config: &BayesConfig,
+    ) {
+        assert_eq!(grad_input.len(), input.len(), "input gradient must match the input");
+        let (pass, grad_mu, grad_rho) = self.backward_parts(epsilon, grad_output, input, config);
+        pass.run(grad_input, grad_mu, grad_rho);
+    }
+
+    /// The operands of [`VariationalParams::linear_backward`] and the ∂μ and ∂ρ it adds into.
+    fn backward_parts<'a>(
+        &'a mut self,
+        epsilon: &'a [f32],
+        grad_output: &'a [f32],
+        input: &'a [f32],
+        config: &BayesConfig,
+    ) -> (LinearBackward<'a>, &'a mut [f32], &'a mut [f32]) {
+        assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
+        assert_eq!(grad_output.len() * input.len(), self.len(), "weights must be out × in");
+        let pass = LinearBackward {
+            mu: self.mu.data(),
+            terms: self.cache.training(&self.rho),
+            epsilon,
+            grad_output,
+            input,
+            precision: config.precision,
+            grad: WeightGradient::new(config),
+        };
+        (pass, self.grad_mu.data_mut(), self.grad_rho.data_mut())
     }
 
     /// Zeroes the gradient accumulators.
@@ -365,6 +439,200 @@ impl VariationalParams {
     /// Read access to the accumulated ρ gradient (used in tests).
     pub fn grad_rho(&self) -> &Tensor {
         &self.grad_rho
+    }
+}
+
+/// The sample-and-score pass behind [`VariationalParams::sample_and_score_into`], returning
+/// the f64 total. `#[inline(always)]` so that the AVX2 copy recompiles the whole pass under
+/// its wider target features.
+#[inline(always)]
+fn sample_and_score(
+    mu: &[f32],
+    epsilon: &[f32],
+    terms: &SigmaCache,
+    precision: Precision,
+    prior_sigma: f32,
+    out: &mut [f32],
+) -> f64 {
+    match precision {
+        Precision::Fp32 => score_chunks(mu, epsilon, terms, prior_sigma, out, |w| w),
+        _ => score_chunks(mu, epsilon, terms, prior_sigma, out, |w| precision.quantize(w)),
+    }
+}
+
+/// [`sample_and_score`] compiled with AVX2 enabled: four f64 lanes per instruction in the
+/// term pass instead of two. Lane-wise IEEE arithmetic rounds exactly as the scalar
+/// operations do, and the chunk's terms still join the total one at a time in ascending
+/// order, so every bit is the portable pass's. (No FMA: contraction would change rounding.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sample_and_score_avx2(
+    mu: &[f32],
+    epsilon: &[f32],
+    terms: &SigmaCache,
+    precision: Precision,
+    prior_sigma: f32,
+    out: &mut [f32],
+) -> f64 {
+    sample_and_score(mu, epsilon, terms, precision, prior_sigma, out)
+}
+
+/// The chunked pass of [`sample_and_score`] for one precision's `quantize`.
+#[inline(always)]
+fn score_chunks(
+    mu: &[f32],
+    epsilon: &[f32],
+    terms: &SigmaCache,
+    prior_sigma: f32,
+    out: &mut [f32],
+    quantize: impl Fn(f32) -> f32,
+) -> f64 {
+    let ln_prior_sigma = (prior_sigma as f64).ln();
+    let prior_var = (prior_sigma as f64).powi(2);
+    let mut chunk_terms = [0.0f64; SCORE_CHUNK];
+    let mut total = 0.0f64;
+    let chunks = out
+        .chunks_mut(SCORE_CHUNK)
+        .zip(mu.chunks(SCORE_CHUNK).zip(epsilon.chunks(SCORE_CHUNK)))
+        .zip(terms.sigma.chunks(SCORE_CHUNK).zip(terms.ln_sigma.chunks(SCORE_CHUNK)));
+    for ((ws, (ms, es)), (ss, ln_ss)) in chunks {
+        let n = ws.len();
+        let (ms, es, ss, ln_ss, ts) =
+            (&ms[..n], &es[..n], &ss[..n], &ln_ss[..n], &mut chunk_terms[..n]);
+        for i in 0..n {
+            let (e, w) = (es[i], quantize(ms[i] + es[i] * ss[i]));
+            ws[i] = w;
+            let log_q = -ln_ss[i] - 0.5 * (e as f64) * (e as f64);
+            let log_p = -ln_prior_sigma - 0.5 * (w as f64) * (w as f64) / prior_var;
+            ts[i] = log_q - log_p;
+        }
+        for &t in ts.iter() {
+            total += t;
+        }
+    }
+    total
+}
+
+/// The per-weight gradient of one sample, shared by
+/// [`VariationalParams::accumulate_gradients`] and [`VariationalParams::linear_backward`].
+#[derive(Debug, Clone, Copy)]
+struct WeightGradient {
+    /// λ, the complexity term's weight.
+    kl_weight: f32,
+    /// `1/σ_c²`.
+    inv_prior_var: f32,
+}
+
+impl WeightGradient {
+    fn new(config: &BayesConfig) -> Self {
+        let inv_prior_var = 1.0 / (config.prior_sigma * config.prior_sigma);
+        Self { kl_weight: config.kl_weight, inv_prior_var }
+    }
+
+    /// The (∂μ, ∂ρ) contributions of one weight `w = μ + ε·σ` whose likelihood gradient is
+    /// `grad_w`: `total = grad_w + λ·w/σ_c²` and `(ε·total − λ/σ)·sigmoid(ρ)`.
+    #[inline(always)]
+    fn of(self, grad_w: f32, w: f32, epsilon: f32, sigma: f32, sigmoid: f32) -> (f32, f32) {
+        let total = grad_w + self.kl_weight * w * self.inv_prior_var;
+        let dsigma = epsilon * total - self.kl_weight / sigma;
+        (total, dsigma * sigmoid)
+    }
+}
+
+/// The operands [`VariationalParams::linear_backward`] reads: the `[out, in]` μ and its
+/// cached terms, one sample's ε, the output gradient and the layer input.
+#[derive(Clone, Copy)]
+struct LinearBackward<'a> {
+    mu: &'a [f32],
+    terms: &'a SigmaCache,
+    epsilon: &'a [f32],
+    grad_output: &'a [f32],
+    input: &'a [f32],
+    precision: Precision,
+    grad: WeightGradient,
+}
+
+impl LinearBackward<'_> {
+    /// The row-wise pass, adding into `grad_input`, ∂μ and ∂ρ. `#[inline(always)]` so that
+    /// the AVX2 copy recompiles the whole pass under its wider target features.
+    #[inline(always)]
+    fn run(self, grad_input: &mut [f32], grad_mu: &mut [f32], grad_rho: &mut [f32]) {
+        let (cols, precision, grad) = (self.input.len(), self.precision, self.grad);
+        if cols == 0 {
+            return;
+        }
+        let (sigma, sigmoid) = (&self.terms.sigma, &self.terms.sigmoid);
+        let rows = self
+            .mu
+            .chunks_exact(cols)
+            .zip(self.epsilon.chunks_exact(cols))
+            .zip(sigma.chunks_exact(cols).zip(sigmoid.chunks_exact(cols)))
+            .zip(grad_mu.chunks_exact_mut(cols).zip(grad_rho.chunks_exact_mut(cols)));
+        for ((((mu, epsilon), (sigma, sigmoid)), (grad_mu, grad_rho)), &g) in
+            rows.zip(self.grad_output)
+        {
+            let row = BackwardRow { mu, epsilon, sigma, sigmoid, grad_mu, grad_rho };
+            let x = self.input;
+            match (precision, g == 0.0) {
+                (Precision::Fp32, false) => row.run::<false>(g, x, grad_input, grad, |w| w),
+                (Precision::Fp32, true) => row.run::<true>(g, x, grad_input, grad, |w| w),
+                (_, false) => row.run::<false>(g, x, grad_input, grad, |w| precision.quantize(w)),
+                (_, true) => row.run::<true>(g, x, grad_input, grad, |w| precision.quantize(w)),
+            }
+        }
+    }
+}
+
+/// [`LinearBackward::run`] compiled with AVX2 enabled: eight f32 lanes per instruction
+/// instead of four. Every lane computes its weight's scalar expression, and each
+/// `grad_input[i]` still takes its rows in ascending order, so every bit is the portable
+/// pass's. (No FMA: contraction would change rounding.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn linear_backward_avx2(
+    pass: LinearBackward<'_>,
+    grad_input: &mut [f32],
+    grad_mu: &mut [f32],
+    grad_rho: &mut [f32],
+) {
+    pass.run(grad_input, grad_mu, grad_rho);
+}
+
+/// One weight row of [`VariationalParams::linear_backward`]: the μ, ε, σ and sigmoid(ρ) it
+/// reads and the ∂μ and ∂ρ it accumulates into.
+struct BackwardRow<'a> {
+    mu: &'a [f32],
+    epsilon: &'a [f32],
+    sigma: &'a [f32],
+    sigmoid: &'a [f32],
+    grad_mu: &'a mut [f32],
+    grad_rho: &'a mut [f32],
+}
+
+impl BackwardRow<'_> {
+    /// Runs the row for output gradient `g`; `ZERO_ROW` (`g == 0`) takes the likelihood
+    /// gradient `+0.0` instead of `g·x[i]`.
+    #[inline(always)]
+    fn run<const ZERO_ROW: bool>(
+        self,
+        g: f32,
+        x: &[f32],
+        grad_input: &mut [f32],
+        grad: WeightGradient,
+        quantize: impl Fn(f32) -> f32,
+    ) {
+        let n = self.mu.len();
+        let (epsilon, sigma, sigmoid) = (&self.epsilon[..n], &self.sigma[..n], &self.sigmoid[..n]);
+        let (grad_mu, grad_rho) = (&mut self.grad_mu[..n], &mut self.grad_rho[..n]);
+        let (x, grad_input) = (&x[..n], &mut grad_input[..n]);
+        for i in 0..n {
+            let w = quantize(self.mu[i] + epsilon[i] * sigma[i]);
+            grad_input[i] += w * g;
+            let grad_w = if ZERO_ROW { 0.0 } else { g * x[i] };
+            let (d_mu, d_rho) = grad.of(grad_w, w, epsilon[i], sigma[i], sigmoid[i]);
+            grad_mu[i] += d_mu;
+            grad_rho[i] += d_rho;
+        }
     }
 }
 
@@ -429,8 +697,9 @@ mod tests {
         let mu = Tensor::zeros(&[3]);
         let sigma = Tensor::filled(&[3], 0.5);
         let mut p = VariationalParams::from_mu_sigma(mu, &sigma);
-        let w = Tensor::zeros(&[3]);
-        let loss = p.complexity_loss(&w, &[0.0, 0.0, 0.0], 0.5);
+        let mut w = Tensor::filled(&[3], 1.0);
+        let loss = p.sample_and_score_into(&[0.0, 0.0, 0.0], Precision::Fp32, &mut w, 0.5);
+        assert_eq!(w, Tensor::zeros(&[3]), "ε = 0 samples w = μ");
         assert!(loss.abs() < 1e-4, "loss {loss}");
     }
 
@@ -439,8 +708,9 @@ mod tests {
         let mu = Tensor::filled(&[1], 3.0);
         let sigma = Tensor::filled(&[1], 0.05);
         let mut p = VariationalParams::from_mu_sigma(mu, &sigma);
-        let w = Tensor::filled(&[1], 3.0);
-        let loss = p.complexity_loss(&w, &[0.0], 0.5);
+        let mut w = Tensor::zeros(&[1]);
+        let loss = p.sample_and_score_into(&[0.0], Precision::Fp32, &mut w, 0.5);
+        assert_eq!(w.data(), &[3.0]);
         assert!(loss > 1.0, "narrow posterior far from the prior should cost, got {loss}");
     }
 
@@ -474,8 +744,9 @@ mod tests {
     #[test]
     fn cached_sigma_terms_follow_rho_through_sgd_steps() {
         let cfg = BayesConfig { kl_weight: 0.1, ..BayesConfig::default() };
-        // Lengths around the complexity loss's chunk, and the B-LeNet proxy's largest block.
-        let chunk = COMPLEXITY_CHUNK;
+        // Lengths around the complexity term pass's chunk, and the B-LeNet proxy's largest
+        // block.
+        let chunk = SCORE_CHUNK;
         for len in [12, 0, 1, chunk - 1, chunk, chunk + 1, 9216] {
             // ρ on both sides of 0, so both derivations of σ and sigmoid(ρ) are read.
             let mu = (0..len).map(|i| (i % 17) as f32 * 0.11 - 0.9).collect();
@@ -511,7 +782,10 @@ mod tests {
                     let log_p = -(0.5f64).ln() - 0.5 * (wv as f64) * (wv as f64) / (0.5f64).powi(2);
                     want_loss += log_q - log_p;
                 }
-                let loss = p.complexity_loss(&w, &eps, cfg.prior_sigma);
+                let mut scored = Tensor::zeros(p.shape());
+                let loss =
+                    p.sample_and_score_into(&eps, Precision::Fp32, &mut scored, cfg.prior_sigma);
+                assert_eq!(bits(scored.data()), bits(&want_w), "len {len}, step {step}: scored w");
                 assert_eq!(
                     loss.to_bits(),
                     (want_loss as f32).to_bits(),
@@ -587,9 +861,64 @@ mod tests {
     #[should_panic(expected = "epsilon block size must match weight count")]
     fn complexity_loss_rejects_a_short_epsilon_block() {
         let mut p = params();
-        let w = Tensor::zeros(p.shape());
+        let mut w = Tensor::zeros(p.shape());
         let eps = vec![0.0f32; p.len() - 1];
-        p.complexity_loss(&w, &eps, 0.5);
+        p.sample_and_score_into(&eps, Precision::Fp32, &mut w, 0.5);
+    }
+
+    /// The one-loop f64 complexity sum of a sampled `w`.
+    fn one_loop_score(w: &[f32], eps: &[f32], sigma: &[f32], prior_sigma: f32) -> f32 {
+        let (ln_prior, prior_var) = ((prior_sigma as f64).ln(), (prior_sigma as f64).powi(2));
+        let mut total = 0.0f64;
+        for ((&wv, &e), &s) in w.iter().zip(eps).zip(sigma) {
+            let log_q = -(s as f64).ln() - 0.5 * (e as f64) * (e as f64);
+            let log_p = -ln_prior - 0.5 * (wv as f64) * (wv as f64) / prior_var;
+            total += log_q - log_p;
+        }
+        total as f32
+    }
+
+    #[test]
+    fn sample_and_score_equals_sample_into_and_the_one_loop_sum() {
+        // Lengths around the 32-weight chunk and the old 256-weight one, and the B-LeNet
+        // proxy's largest block; μ and ε reach past both fixed-point grids' ranges and hit
+        // ±0.0, so the quantized arms saturate and round ties.
+        for len in [0, 1, 31, 32, 33, 255, 256, 257, 9216] {
+            let mu: Vec<f32> = (0..len).map(|i| (i % 19) as f32 * 0.23 - 2.07).collect();
+            let rho = (0..len).map(|i| (i % 23) as f32 * 0.4 - 6.0).collect();
+            let mut p = from_mu_rho(mu, rho);
+            let mut eps: Vec<f32> = (0..len).map(|i| (i % 31) as f32 * 2.9 - 43.5).collect();
+            eps.iter_mut().step_by(7).for_each(|e| *e = -0.0);
+            let sigma: Vec<f32> = p.rho().data().iter().map(|&r| softplus(r)).collect();
+            for precision in [Precision::Fp32, Precision::PAPER_16BIT, Precision::PAPER_8BIT] {
+                let mut want = Tensor::zeros(p.shape());
+                p.sample_into(&eps, precision, &mut want);
+                let want_score = one_loop_score(want.data(), &eps, &sigma, 0.5);
+                let case = format!("len {len}, {precision:?}");
+
+                let mut got = Tensor::filled(p.shape(), 7.0);
+                let score = p.sample_and_score_into(&eps, precision, &mut got, 0.5);
+                assert_eq!(bits(got.data()), bits(want.data()), "{case}: dispatched w");
+                assert_eq!(score.to_bits(), want_score.to_bits(), "{case}: dispatched score");
+
+                // Both compiled bodies, whichever one the host dispatches to.
+                let terms = p.cache.training(&p.rho);
+                let mu = p.mu.data();
+                let mut out = vec![7.0f32; len];
+                let total = sample_and_score(mu, &eps, terms, precision, 0.5, &mut out);
+                assert_eq!(bits(&out), bits(want.data()), "{case}: portable w");
+                assert_eq!((total as f32).to_bits(), want_score.to_bits(), "{case}: portable");
+                #[cfg(target_arch = "x86_64")]
+                if avx2_available() {
+                    out.fill(7.0);
+                    // SAFETY: guarded by runtime AVX2 detection.
+                    let total =
+                        unsafe { sample_and_score_avx2(mu, &eps, terms, precision, 0.5, &mut out) };
+                    assert_eq!(bits(&out), bits(want.data()), "{case}: AVX2 w");
+                    assert_eq!((total as f32).to_bits(), want_score.to_bits(), "{case}: AVX2");
+                }
+            }
+        }
     }
 
     #[test]
@@ -642,8 +971,8 @@ mod tests {
     fn equality_and_restore_ignore_the_cache() {
         let mut warmed = params();
         let eps = vec![1.0f32; warmed.len()];
-        let w = warmed.sample(&eps, Precision::Fp32);
-        warmed.complexity_loss(&w, &eps, 0.5);
+        let mut w = Tensor::zeros(warmed.shape());
+        warmed.sample_and_score_into(&eps, Precision::Fp32, &mut w, 0.5);
         let mut clone = warmed.clone();
         let (mu, rho) = (clone.mu().clone(), clone.rho().clone());
         let (grad_mu, grad_rho) = (clone.grad_mu().clone(), clone.grad_rho().clone());

@@ -378,9 +378,11 @@ unsafe fn gemm_simd_avx2(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
     gemm_simd_body(c, a, b, m, k, n);
 }
 
-/// Returns whether the running CPU has AVX2 (detected once, cached).
+/// Returns whether the running CPU has AVX2 (detected once, cached): the guard every
+/// `#[target_feature(enable = "avx2")]` copy of a bit-exact loop is dispatched on, in this
+/// crate and in `bnn-train`.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub fn avx2_available() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
@@ -758,22 +760,10 @@ fn linear_avx2(c: &mut [f32], w: &[f32], x: &[f32]) {
 /// C\[m,n\] += Aᵀ · B where `a` is `[k, m]` and `b` is `[k, n]`, both row-major. Terms are
 /// accumulated `p`-ascending per scalar (the `p`-outer rank-1-update form), matching
 /// `a.transpose2().matmul(b)` bit for bit without materializing the transpose.
-///
-/// With `n == 1` (a linear layer's `Wᵀ·g`) the rank-1 update degenerates to `k` contiguous
-/// axpys `c[0..m] += a[p·m..(p+1)·m] · b[p]`, which run as one vectorized loop per `p`
-/// instead of `m` one-element loops; every scalar still adds its terms in ascending `p`.
 pub fn gemm_at_accumulate(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
-    if n == 1 && m > 0 {
-        for (arow, &bv) in a.chunks_exact(m).zip(b) {
-            for (cv, &av) in c.iter_mut().zip(arow) {
-                *cv += av * bv;
-            }
-        }
-        return;
-    }
     for p in 0..k {
         let arow = &a[p * m..(p + 1) * m];
         let brow = &b[p * n..(p + 1) * n];
