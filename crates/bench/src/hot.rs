@@ -1068,7 +1068,8 @@ impl Default for TracedServeProbe {
 /// uniform trace, responses asserted byte-identical tracing-on vs tracing-off, then a fixed
 /// amount of tracing work timed against a fixed amount of serving work, in alternation.
 /// The tracing work is the events the traced run recorded, written again into a warmed
-/// [`TraceRecorder`]; the serving work is the untraced engine run.
+/// [`TraceRecorder`]; the serving work is the untraced engine run. The engine's own work of
+/// building each event on the traced path is in neither part, so no gate times it.
 #[derive(Debug, Clone)]
 pub struct ObsOverheadBench {
     /// Requests per engine run.
@@ -1086,8 +1087,8 @@ pub struct ObsOverheadBench {
 impl ObsOverheadBench {
     /// serving / (serving + tracing) — an untraced run's time over a traced run's, built
     /// from the two parts timed apart, so the serving run's noise does not swamp the small
-    /// tracing share. The `obs_overhead` gate: ≥ 0.95 means recording a run's events costs
-    /// at most ~5% of the run.
+    /// tracing share. The `obs_overhead` gate: ≥ 0.95 means the recorder's writes of a
+    /// run's events cost at most ~5% of the run.
     pub fn overhead(&self) -> f64 {
         self.serving_ns / (self.serving_ns + self.tracing_ns)
     }

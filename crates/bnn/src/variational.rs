@@ -348,7 +348,6 @@ impl VariationalParams {
     /// `o`, the order of `kernels::gemm_at_accumulate`. A row whose `g[o]` is zero takes the
     /// likelihood gradient `+0.0`, as the sparse outer product left it, whatever `x` holds.
     /// The zero test and the precision are decided once per row, outside the loop over `i`.
-    /// On CPUs with AVX2 the same body runs compiled for AVX2 (no FMA).
     ///
     /// # Panics
     ///
@@ -362,52 +361,37 @@ impl VariationalParams {
         grad_input: &mut [f32],
         config: &BayesConfig,
     ) {
-        assert_eq!(grad_input.len(), input.len(), "input gradient must match the input");
-        let (pass, grad_mu, grad_rho) = self.backward_parts(epsilon, grad_output, input, config);
-        #[cfg(target_arch = "x86_64")]
-        if avx2_available() {
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { linear_backward_avx2(pass, grad_input, grad_mu, grad_rho) };
+        let cols = input.len();
+        assert_eq!(grad_input.len(), cols, "input gradient must match the input");
+        assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
+        assert_eq!(grad_output.len() * cols, self.len(), "weights must be out × in");
+        if cols == 0 {
             return;
         }
-        pass.run(grad_input, grad_mu, grad_rho);
-    }
-
-    /// [`VariationalParams::linear_backward`] on its portable body, whatever the CPU.
-    #[cfg(test)]
-    pub(crate) fn linear_backward_portable(
-        &mut self,
-        epsilon: &[f32],
-        grad_output: &[f32],
-        input: &[f32],
-        grad_input: &mut [f32],
-        config: &BayesConfig,
-    ) {
-        assert_eq!(grad_input.len(), input.len(), "input gradient must match the input");
-        let (pass, grad_mu, grad_rho) = self.backward_parts(epsilon, grad_output, input, config);
-        pass.run(grad_input, grad_mu, grad_rho);
-    }
-
-    /// The operands of [`VariationalParams::linear_backward`] and the ∂μ and ∂ρ it adds into.
-    fn backward_parts<'a>(
-        &'a mut self,
-        epsilon: &'a [f32],
-        grad_output: &'a [f32],
-        input: &'a [f32],
-        config: &BayesConfig,
-    ) -> (LinearBackward<'a>, &'a mut [f32], &'a mut [f32]) {
-        assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
-        assert_eq!(grad_output.len() * input.len(), self.len(), "weights must be out × in");
-        let pass = LinearBackward {
-            mu: self.mu.data(),
-            terms: self.cache.training(&self.rho),
-            epsilon,
-            grad_output,
-            input,
-            precision: config.precision,
-            grad: WeightGradient::new(config),
-        };
-        (pass, self.grad_mu.data_mut(), self.grad_rho.data_mut())
+        let (x, precision, grad) = (input, config.precision, WeightGradient::new(config));
+        let terms = self.cache.training(&self.rho);
+        let grads = self
+            .grad_mu
+            .data_mut()
+            .chunks_exact_mut(cols)
+            .zip(self.grad_rho.data_mut().chunks_exact_mut(cols));
+        let rows = self
+            .mu
+            .data()
+            .chunks_exact(cols)
+            .zip(epsilon.chunks_exact(cols))
+            .zip(terms.sigma.chunks_exact(cols).zip(terms.sigmoid.chunks_exact(cols)))
+            .zip(grads);
+        for ((((mu, epsilon), (sigma, sigmoid)), (grad_mu, grad_rho)), &g) in rows.zip(grad_output)
+        {
+            let row = BackwardRow { mu, epsilon, sigma, sigmoid, grad_mu, grad_rho };
+            match (precision, g == 0.0) {
+                (Precision::Fp32, false) => row.run::<false>(g, x, grad_input, grad, |w| w),
+                (Precision::Fp32, true) => row.run::<true>(g, x, grad_input, grad, |w| w),
+                (_, false) => row.run::<false>(g, x, grad_input, grad, |w| precision.quantize(w)),
+                (_, true) => row.run::<true>(g, x, grad_input, grad, |w| precision.quantize(w)),
+            }
+        }
     }
 
     /// Zeroes the gradient accumulators.
@@ -537,65 +521,6 @@ impl WeightGradient {
         let dsigma = epsilon * total - self.kl_weight / sigma;
         (total, dsigma * sigmoid)
     }
-}
-
-/// The operands [`VariationalParams::linear_backward`] reads: the `[out, in]` μ and its
-/// cached terms, one sample's ε, the output gradient and the layer input.
-#[derive(Clone, Copy)]
-struct LinearBackward<'a> {
-    mu: &'a [f32],
-    terms: &'a SigmaCache,
-    epsilon: &'a [f32],
-    grad_output: &'a [f32],
-    input: &'a [f32],
-    precision: Precision,
-    grad: WeightGradient,
-}
-
-impl LinearBackward<'_> {
-    /// The row-wise pass, adding into `grad_input`, ∂μ and ∂ρ. `#[inline(always)]` so that
-    /// the AVX2 copy recompiles the whole pass under its wider target features.
-    #[inline(always)]
-    fn run(self, grad_input: &mut [f32], grad_mu: &mut [f32], grad_rho: &mut [f32]) {
-        let (cols, precision, grad) = (self.input.len(), self.precision, self.grad);
-        if cols == 0 {
-            return;
-        }
-        let (sigma, sigmoid) = (&self.terms.sigma, &self.terms.sigmoid);
-        let rows = self
-            .mu
-            .chunks_exact(cols)
-            .zip(self.epsilon.chunks_exact(cols))
-            .zip(sigma.chunks_exact(cols).zip(sigmoid.chunks_exact(cols)))
-            .zip(grad_mu.chunks_exact_mut(cols).zip(grad_rho.chunks_exact_mut(cols)));
-        for ((((mu, epsilon), (sigma, sigmoid)), (grad_mu, grad_rho)), &g) in
-            rows.zip(self.grad_output)
-        {
-            let row = BackwardRow { mu, epsilon, sigma, sigmoid, grad_mu, grad_rho };
-            let x = self.input;
-            match (precision, g == 0.0) {
-                (Precision::Fp32, false) => row.run::<false>(g, x, grad_input, grad, |w| w),
-                (Precision::Fp32, true) => row.run::<true>(g, x, grad_input, grad, |w| w),
-                (_, false) => row.run::<false>(g, x, grad_input, grad, |w| precision.quantize(w)),
-                (_, true) => row.run::<true>(g, x, grad_input, grad, |w| precision.quantize(w)),
-            }
-        }
-    }
-}
-
-/// [`LinearBackward::run`] compiled with AVX2 enabled: eight f32 lanes per instruction
-/// instead of four. Every lane computes its weight's scalar expression, and each
-/// `grad_input[i]` still takes its rows in ascending order, so every bit is the portable
-/// pass's. (No FMA: contraction would change rounding.)
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn linear_backward_avx2(
-    pass: LinearBackward<'_>,
-    grad_input: &mut [f32],
-    grad_mu: &mut [f32],
-    grad_rho: &mut [f32],
-) {
-    pass.run(grad_input, grad_mu, grad_rho);
 }
 
 /// One weight row of [`VariationalParams::linear_backward`]: the μ, ε, σ and sigmoid(ρ) it

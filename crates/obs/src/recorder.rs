@@ -8,8 +8,10 @@
 //!   grid re-asserts this equivalence on every run.
 //! * **no-op compiles to nothing** — call sites guard every `record` behind
 //!   `if R::ENABLED`, a monomorphization-time constant. With [`NullRecorder`] the branch is
-//!   `if false { .. }` and the whole recording path folds away; the traced-vs-untraced
-//!   `obs_overhead` arm of `hot_bench` gates the residual cost of the enabled path.
+//!   `if false { .. }` and the whole recording path folds away. The `obs_overhead` arm of
+//!   `hot_bench` gates the recorder's writes on the enabled path: a traced run's events,
+//!   recorded again into a warmed [`TraceRecorder`], against the untraced run. The work
+//!   call sites do under `if R::ENABLED` to build each event is timed by no gate.
 //!
 //! Recorders are driven exclusively from the orchestration thread (phase-A routing and the
 //! engines' sequential timing loops), never from pool workers — which is why the trait needs
