@@ -7,7 +7,8 @@
 //!    GEMM tier over the gated `simd_gemm` shapes and over the B-LeNet proxy's six conv
 //!    shapes, whose column tails give the ungated `simd_gemm_tails` ratio, and the linear
 //!    kernel against its per-row dot loop at 64×144 and 48×64, the ungated `linear_matvec`
-//!    ratio;
+//!    ratio, and the B-LeNet proxy's im2col packs and pools per pass (ungated
+//!    `conv_data_passes` times);
 //! 2. word-parallel ε generation and retrieval against the bit-serial LFSR walks — the
 //!    `eps_generate` and `eps_retrieve` ratios gated by `bench_regression`;
 //! 3. a traced engine run's recorder writes against the untraced run (responses asserted
@@ -34,10 +35,11 @@
 use bnn_tensor::KernelTier;
 use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{
-    full_json, geometric_mean, run_epsilon_bench, run_fused_serve_bench, run_fused_training_bench,
-    run_kernel_benches, run_linear_benches, run_obs_overhead_bench, run_tail_benches,
-    run_tier_benches, run_training_pass_benches, summary_json, EpsilonBench, KernelBench,
-    LinearBench, ServeProbe, TierBench, TracedServeProbe, TrainingPassBench, TrainingProbe,
+    full_json, geometric_mean, run_data_pass_benches, run_epsilon_bench, run_fused_serve_bench,
+    run_fused_training_bench, run_kernel_benches, run_linear_benches, run_obs_overhead_bench,
+    run_tail_benches, run_tier_benches, run_training_pass_benches, summary_json, DataPassBench,
+    EpsilonBench, KernelBench, LinearBench, ServeProbe, TierBench, TracedServeProbe,
+    TrainingPassBench, TrainingProbe,
 };
 use shift_bnn_bench::print_table;
 
@@ -117,6 +119,7 @@ fn main() {
     let tiers = run_tier_benches(args.reps);
     let tails = run_tail_benches(args.reps);
     let linear = run_linear_benches(args.reps);
+    let data_passes = run_data_pass_benches(args.reps);
     let fused = run_fused_serve_bench(args.reps, 16);
     let fused_training = run_fused_training_bench(args.reps, 8);
     let passes = run_training_pass_benches(args.reps, 8);
@@ -178,6 +181,22 @@ fn main() {
     print_table(
         "Linear matvec: per-row dot loop vs dispatched kernel (bit-identical)",
         &["shape", "dot loop µs", "kernel µs", "speedup"],
+        &rows,
+    );
+    let rows: Vec<Vec<String>> = data_passes
+        .iter()
+        .map(|p: &DataPassBench| {
+            vec![
+                p.name.to_string(),
+                p.floats.to_string(),
+                format!("{:.2}", p.ns / 1e3),
+                format!("{:.2}", p.ns / p.floats as f64),
+            ]
+        })
+        .collect();
+    print_table(
+        "B-LeNet proxy conv data movement per pass: im2col packs and S = 16 pools",
+        &["pass", "floats out", "µs", "ns/float"],
         &rows,
     );
     println!(
@@ -266,6 +285,7 @@ fn main() {
             &tiers,
             &tails,
             &linear,
+            &data_passes,
             &fused,
             &fused_training,
             &passes,

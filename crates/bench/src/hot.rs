@@ -1,6 +1,6 @@
 //! The numeric hot-path microbenchmark suite behind the `hot_bench` binary.
 //!
-//! Four families of measurements, all pure functions of their seeds:
+//! The families of measurements, all pure functions of their seeds:
 //!
 //! * **conv kernels** — the packed im2col+GEMM drivers of [`bnn_tensor::kernels`] against the
 //!   retained reference loop nests of [`bnn_tensor::conv::reference`], per geometry and per
@@ -15,6 +15,8 @@
 //! * **fused training** — two B-LeNet-proxy trainers at `S = 8`, one with the fused
 //!   forward walk ([`Trainer::set_fused_forward`]), asserted to train bit-identically before
 //!   either is timed;
+//! * **conv data movement** — the B-LeNet proxy's im2col packs, L3 input-gradient panel and
+//!   `S = 16` pools, timed per pass on their own;
 //! * **training passes** — a Bayesian linear layer's forward sampling-and-scoring and its
 //!   backward, one pass per weight each, against the stored-sample composition they
 //!   replaced, asserted bit-identical before either is timed;
@@ -35,8 +37,9 @@ use bnn_tensor::activation::softplus;
 use bnn_tensor::conv::{reference, ConvGeometry};
 use bnn_tensor::kernels::{
     conv2d_backward_input_into, conv2d_backward_weights_into, conv2d_forward_into,
-    gemm_accumulate_tiered, linear_matvec, linear_matvec_portable,
+    gemm_accumulate_tiered, linear_matvec, linear_matvec_portable, pack_im2col,
 };
+use bnn_tensor::pool::max_pool2d_into;
 use bnn_tensor::{KernelConfig, KernelTier, Scratch, Tensor};
 use bnn_train::trainer::{Trainer, TrainerConfig};
 use bnn_train::variational::{BayesConfig, VariationalParams};
@@ -445,6 +448,79 @@ pub fn run_linear_benches(reps: usize) -> Vec<LinearBench> {
         .collect()
 }
 
+/// Per-pass time of one of the B-LeNet proxy's conv data-movement passes: an im2col pack
+/// or a pool, with no GEMM around it.
+#[derive(Debug, Clone)]
+pub struct DataPassBench {
+    /// Pass identifier (`<pass>_<layer>_<shape>`).
+    pub name: &'static str,
+    /// Floats the pass writes.
+    pub floats: usize,
+    /// Best-of-reps time, in nanoseconds per pass.
+    pub ns: f64,
+}
+
+impl DataPassBench {
+    fn json(&self) -> Json {
+        Json::obj([
+            ("name", Json::Str(self.name.to_string())),
+            ("floats", Json::UInt(self.floats as u64)),
+            ("ns", Json::Float(self.ns)),
+        ])
+    }
+}
+
+/// Passes per timed repetition of [`run_data_pass_benches`]: each pass takes a microsecond
+/// or a few, so one clock read per pass would be a visible share of it.
+const PASSES_PER_REP: usize = 32;
+
+/// Timed repetitions of [`run_data_pass_benches`] per `reps`: a best-of over a few
+/// milliseconds read up to 1.7× the settled per-pass time on the 2-vCPU Xeon host, so each
+/// pass is timed for long enough to meet a quiet stretch of a shared host.
+const REPS_SCALE: usize = 50;
+
+/// Times the B-LeNet proxy's conv data movement per pass, the parts of a step the conv
+/// GEMMs do not cover: the L0 (3×12×12) and L3 (6×6×6) im2col packs, the L3 input
+/// gradient's panel (the 16×6×6 output gradient packed at padding 1), and the two max pools
+/// of an `S = 16` serving request (`[96, 12, 12]` and `[256, 6, 6]`, values only, as
+/// inference runs them). Ungated: wall-clock only, best of `reps · REPS_SCALE` repetitions.
+pub fn run_data_pass_benches(reps: usize) -> Vec<DataPassBench> {
+    let conv =
+        |n, m| ConvGeometry { in_channels: n, out_channels: m, kernel: 3, stride: 1, padding: 1 };
+    let packs = [
+        ("im2col_L0_3x12x12", conv(3, 6), 12),
+        ("im2col_L3_6x6x6", conv(6, 16), 6),
+        ("grad_panel_L3_16x6x6", conv(16, 6), 6),
+    ];
+    let mut out: Vec<DataPassBench> = packs
+        .into_iter()
+        .map(|(name, geom, hw)| {
+            let input = fill_tensor(0xC01 ^ geom.in_channels as u64, &[geom.in_channels, hw, hw]);
+            let mut col = vec![0.0f32; geom.panel_len(hw, hw)];
+            let ns = best_of(reps * REPS_SCALE, || {
+                for _ in 0..PASSES_PER_REP {
+                    pack_im2col(&geom, input.data(), hw, hw, std::hint::black_box(&mut col));
+                }
+            });
+            DataPassBench { name, floats: col.len(), ns: ns / PASSES_PER_REP as f64 }
+        })
+        .collect();
+    for (name, shape) in
+        [("pool_L2_S16_96x12x12", [96, 12, 12]), ("pool_L5_S16_256x6x6", [256, 6, 6])]
+    {
+        let input = fill_tensor(0x9001 ^ shape[0] as u64, &shape);
+        let mut pooled = Tensor::zeros(&[shape[0], shape[1] / 2, shape[2] / 2]);
+        let ns = best_of(reps * REPS_SCALE, || {
+            for _ in 0..PASSES_PER_REP {
+                max_pool2d_into(&input, 2, std::hint::black_box(&mut pooled), None)
+                    .expect("pooled shape");
+            }
+        });
+        out.push(DataPassBench { name, floats: pooled.len(), ns: ns / PASSES_PER_REP as f64 });
+    }
+    out
+}
+
 /// Timing of a fused `S`-sample walk against `S` per-sample walks on the B-LeNet proxy: PR 8's
 /// serving arm (one frozen replica answering Monte-Carlo requests) and the training arm (two
 /// trainers stepping the same example), each asserted bit-identical before it is timed.
@@ -682,7 +758,7 @@ fn one_pass_passes(
         score += p.sample_and_score_into(eps, precision, &mut w, prior_sigma);
         scratch.put_tensor(w);
         grad_input.fill(0.0);
-        p.linear_backward(eps, &ops.g, &ops.x, grad_input, &ops.config);
+        p.linear_backward(eps, &ops.g, &ops.x, Some(&mut *grad_input), &ops.config);
     }
     score
 }
@@ -1191,6 +1267,7 @@ pub fn full_json(
     tiers: &[TierBench],
     tails: &[TierBench],
     linear: &[LinearBench],
+    data_passes: &[DataPassBench],
     fused: &FusedBench,
     fused_training: &FusedBench,
     passes: &[TrainingPassBench],
@@ -1228,6 +1305,7 @@ pub fn full_json(
         ("kernel_tiers", Json::Array(tiers.iter().map(TierBench::json).collect())),
         ("kernel_tail_tiers", Json::Array(tails.iter().map(TierBench::json).collect())),
         ("linear_matvec", Json::Array(linear.iter().map(LinearBench::json).collect())),
+        ("conv_data_passes", Json::Array(data_passes.iter().map(DataPassBench::json).collect())),
         ("fused_serving", fused.json()),
         ("fused_training", fused_training.json()),
         ("training_passes", Json::Array(passes.iter().map(TrainingPassBench::json).collect())),
@@ -1346,11 +1424,14 @@ mod tests {
         let obs = run_obs_overhead_bench(1, 8);
         let epsilon = run_epsilon_bench(1, 128);
         let linear = run_linear_benches(1);
+        let data_passes = run_data_pass_benches(1);
+        assert_eq!(data_passes.len(), 5);
         let doc = full_json(
             &kernels,
             &tiers,
             &tails,
             &linear,
+            &data_passes,
             &fused,
             &fused_training,
             &passes,
@@ -1366,6 +1447,7 @@ mod tests {
             "simd_gemm",
             "simd_gemm_tails",
             "linear_matvec",
+            "conv_data_passes",
             "fused_sampling",
             "fused_training",
             "training_passes",

@@ -348,6 +348,47 @@ impl BayesLinear {
             *o = self.config.precision.quantize(*o + b);
         }
     }
+
+    /// The backward stage behind both [`Layer::backward`] and [`Layer::backward_params`]:
+    /// reconstructs the sampled weights from the retrieved ε (process ② of the paper), weight
+    /// by weight inside [`VariationalParams::linear_backward`], accumulates the parameter
+    /// gradients and, when `input_grad` is set, returns the gradient w.r.t. the input.
+    fn backward_stage(
+        &mut self,
+        sample: usize,
+        grad_output: Tensor,
+        eps: &mut dyn EpsilonSource,
+        scratch: &mut Scratch,
+        input_grad: bool,
+    ) -> Result<Option<Tensor>, TensorError> {
+        if grad_output.len() != self.out_features {
+            return Err(TensorError::InvalidReshape {
+                len: grad_output.len(),
+                shape: vec![self.out_features],
+            });
+        }
+        let input = self.cached_inputs[sample]
+            .take()
+            .expect("backward called for a sample without a cached forward");
+        let mut epsilon = scratch.take_f32(self.weights.len());
+        eps.retrieve_block_into(&mut epsilon);
+        let mut grad_input = input_grad.then(|| scratch.take_tensor(&[self.in_features]));
+        self.weights.linear_backward(
+            &epsilon,
+            grad_output.data(),
+            input.data(),
+            grad_input.as_mut().map(Tensor::data_mut),
+            &self.config,
+        );
+        for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(grad_output.data()) {
+            *gb += g;
+        }
+
+        scratch.put_f32(epsilon);
+        scratch.put_tensor(input);
+        scratch.put_tensor(grad_output);
+        Ok(grad_input)
+    }
 }
 
 impl Layer for BayesLinear {
@@ -422,35 +463,20 @@ impl Layer for BayesLinear {
         eps: &mut dyn EpsilonSource,
         scratch: &mut Scratch,
     ) -> Result<Tensor, TensorError> {
-        if grad_output.len() != self.out_features {
-            return Err(TensorError::InvalidReshape {
-                len: grad_output.len(),
-                shape: vec![self.out_features],
-            });
-        }
-        let input = self.cached_inputs[sample]
-            .take()
-            .expect("backward called for a sample without a cached forward");
-        // Reconstruct the sampled weights from the retrieved ε (process ② of the paper),
-        // weight by weight inside the backward pass.
-        let mut epsilon = scratch.take_f32(self.weights.len());
-        eps.retrieve_block_into(&mut epsilon);
-        let mut grad_input = scratch.take_tensor(&[self.in_features]);
-        self.weights.linear_backward(
-            &epsilon,
-            grad_output.data(),
-            input.data(),
-            grad_input.data_mut(),
-            &self.config,
-        );
-        for (gb, &g) in self.grad_bias.data_mut().iter_mut().zip(grad_output.data()) {
-            *gb += g;
-        }
+        let grad_input = self.backward_stage(sample, grad_output, eps, scratch, true)?;
+        Ok(grad_input.expect("the input gradient was requested"))
+    }
 
-        scratch.put_f32(epsilon);
-        scratch.put_tensor(input);
-        scratch.put_tensor(grad_output);
-        Ok(grad_input)
+    /// Runs the same pass without the `w·g` input-gradient adds; ∂μ, ∂ρ and the bias
+    /// gradient are the ones [`Layer::backward`] accumulates, bit for bit.
+    fn backward_params(
+        &mut self,
+        sample: usize,
+        grad_output: Tensor,
+        eps: &mut dyn EpsilonSource,
+        scratch: &mut Scratch,
+    ) -> Result<(), TensorError> {
+        self.backward_stage(sample, grad_output, eps, scratch, false).map(|_| ())
     }
 
     fn begin_iteration(&mut self, samples: usize, scratch: &mut Scratch) {
@@ -983,7 +1009,7 @@ impl Layer for MaxPoolLayer {
         let (c, oh, ow) = (shape[0], shape[1] / self.window, shape[2] / self.window);
         let mut out = scratch.take_tensor(&[c, oh, ow]);
         let mut argmax = scratch.take_usize(c * oh * ow);
-        max_pool2d_into(&input, self.window, &mut out, &mut argmax)?;
+        max_pool2d_into(&input, self.window, &mut out, Some(&mut argmax))?;
         let mut cached_shape = scratch.take_usize(3);
         cached_shape.copy_from_slice(input.shape());
         if let Some((old_shape, old_argmax)) = self.cached[sample].replace((cached_shape, argmax)) {
@@ -996,8 +1022,8 @@ impl Layer for MaxPoolLayer {
 
     /// Fused evaluation: pooling acts per channel, and the stacked layout `[S·C, H, W]`
     /// keeps every sample's channels contiguous — one pooling pass over the stacked map *is*
-    /// `S` per-sample passes. Inference-only calls skip the argmax cache; training calls
-    /// defer to the split walk.
+    /// `S` per-sample passes. Inference-only calls write no argmax record at all; training
+    /// calls defer to the split walk.
     fn forward_all(
         &mut self,
         stacked: Tensor,
@@ -1021,9 +1047,7 @@ impl Layer for MaxPoolLayer {
         }
         let (c, oh, ow) = (shape[0], shape[1] / self.window, shape[2] / self.window);
         let mut out = scratch.take_tensor(&[c, oh, ow]);
-        let mut argmax = scratch.take_usize(c * oh * ow);
-        max_pool2d_into(&stacked, self.window, &mut out, &mut argmax)?;
-        scratch.put_usize(argmax);
+        max_pool2d_into(&stacked, self.window, &mut out, None)?;
         scratch.put_tensor(stacked);
         Ok(out)
     }
@@ -1503,6 +1527,50 @@ mod tests {
                         assert_eq!(canonical_bits(got), canonical_bits(want), "{case}: {what}");
                     }
                     scratch.put_tensor(grad_input);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_backward_params_accumulates_what_backward_does() {
+        use bnn_tensor::init::splitmix_tensor;
+        use bnn_tensor::Precision;
+        // The proxies' first linear layers (B-MLP 64→48, B-LeNet 144→64), then the paper
+        // B-MLP's 784→400.
+        for (inf, outf) in [(64, 48), (144, 64), (784, 400)] {
+            for precision in [Precision::Fp32, Precision::PAPER_16BIT, Precision::PAPER_8BIT] {
+                let config = BayesConfig { precision, kl_weight: 0.1, ..BayesConfig::default() };
+                let build =
+                    || BayesLinear::new(inf, outf, config, &mut StdRng::seed_from_u64(inf as u64));
+                let (mut full, mut params_only) = (build(), build());
+                let mut scratch = Scratch::new();
+                full.begin_iteration(3, &mut scratch);
+                params_only.begin_iteration(3, &mut scratch);
+                for s in 0..3u64 {
+                    let x = splitmix_tensor(10 + s, &[inf]);
+                    let mut g = splitmix_tensor(20 + s, &[outf]);
+                    plant(g.data_mut(), 5, s as usize, &[0.0, -0.0]);
+                    let eps = splitmix_tensor(30 + s, &[inf * outf]).data().to_vec();
+                    for (layer, only) in [(&mut full, false), (&mut params_only, true)] {
+                        let mut source = FixedEps(eps.clone());
+                        let out = layer.forward(s as usize, x.clone(), &mut source, &mut scratch);
+                        scratch.put_tensor(out.unwrap());
+                        let (s, g) = (s as usize, g.clone());
+                        if only {
+                            layer.backward_params(s, g, &mut source, &mut scratch).unwrap();
+                        } else {
+                            let grad_input = layer.backward(s, g, &mut source, &mut scratch);
+                            scratch.put_tensor(grad_input.unwrap());
+                        }
+                    }
+                    let case = format!("{inf}→{outf}, {precision:?}, sample {s}");
+                    let grads = |l: &BayesLinear| {
+                        let w = l.weights();
+                        [w.grad_mu().data(), w.grad_rho().data(), l.grad_bias.data()]
+                            .map(canonical_bits)
+                    };
+                    assert_eq!(grads(&params_only), grads(&full), "{case}");
                 }
             }
         }

@@ -370,7 +370,9 @@ impl MomentNetwork {
                     let out_len = out_shape.iter().product();
                     let mut out_mean = self.scratch.take_tensor(&out_shape);
                     let mut argmax = self.scratch.take_usize(out_len);
-                    if let Err(err) = max_pool2d_into(&mean, *window, &mut out_mean, &mut argmax) {
+                    if let Err(err) =
+                        max_pool2d_into(&mean, *window, &mut out_mean, Some(&mut argmax))
+                    {
                         self.scratch.put_usize(argmax);
                         self.scratch.put_tensor(out_mean);
                         self.scratch.put_tensor(mean);

@@ -340,14 +340,16 @@ impl VariationalParams {
     /// One sample's backward pass of a linear layer whose `[out, in]` weights these are, in
     /// one row-wise pass: for each output `o` and input `i` it samples
     /// `w = quantize(μ + ε·σ)` as [`VariationalParams::sample_into`] does, adds `w·g[o]` to
-    /// `grad_input[i]`, and accumulates ∂μ and ∂ρ from the likelihood gradient `g[o]·x[i]` as
-    /// [`VariationalParams::accumulate_gradients`] does. Neither the sampled matrix nor the
-    /// likelihood gradient is stored.
+    /// `grad_input[i]` when an input gradient is asked for, and accumulates ∂μ and ∂ρ from
+    /// the likelihood gradient `g[o]·x[i]` as [`VariationalParams::accumulate_gradients`]
+    /// does. Neither the sampled matrix nor the likelihood gradient is stored.
     ///
     /// Every bit equals that composition. Each `grad_input[i]` adds its terms in ascending
     /// `o`, the order of `kernels::gemm_at_accumulate`. A row whose `g[o]` is zero takes the
     /// likelihood gradient `+0.0`, as the sparse outer product left it, whatever `x` holds.
     /// The zero test and the precision are decided once per row, outside the loop over `i`.
+    /// ∂μ and ∂ρ never read `grad_input`, so `None` (the first layer's case) leaves them
+    /// bit for bit as they are with it.
     ///
     /// # Panics
     ///
@@ -358,11 +360,29 @@ impl VariationalParams {
         epsilon: &[f32],
         grad_output: &[f32],
         input: &[f32],
+        grad_input: Option<&mut [f32]>,
+        config: &BayesConfig,
+    ) {
+        match grad_input {
+            Some(grad_input) => {
+                assert_eq!(grad_input.len(), input.len(), "input gradient must match the input");
+                self.backward_rows::<true>(epsilon, grad_output, input, grad_input, config);
+            }
+            None => self.backward_rows::<false>(epsilon, grad_output, input, &mut [], config),
+        }
+    }
+
+    /// [`VariationalParams::linear_backward`]'s row loop; `INPUT_GRAD` says whether
+    /// `grad_input` is written.
+    fn backward_rows<const INPUT_GRAD: bool>(
+        &mut self,
+        epsilon: &[f32],
+        grad_output: &[f32],
+        input: &[f32],
         grad_input: &mut [f32],
         config: &BayesConfig,
     ) {
         let cols = input.len();
-        assert_eq!(grad_input.len(), cols, "input gradient must match the input");
         assert_eq!(epsilon.len(), self.len(), "epsilon block size must match weight count");
         assert_eq!(grad_output.len() * cols, self.len(), "weights must be out × in");
         if cols == 0 {
@@ -385,11 +405,14 @@ impl VariationalParams {
         for ((((mu, epsilon), (sigma, sigmoid)), (grad_mu, grad_rho)), &g) in rows.zip(grad_output)
         {
             let row = BackwardRow { mu, epsilon, sigma, sigmoid, grad_mu, grad_rho };
+            let gi = &mut *grad_input;
             match (precision, g == 0.0) {
-                (Precision::Fp32, false) => row.run::<false>(g, x, grad_input, grad, |w| w),
-                (Precision::Fp32, true) => row.run::<true>(g, x, grad_input, grad, |w| w),
-                (_, false) => row.run::<false>(g, x, grad_input, grad, |w| precision.quantize(w)),
-                (_, true) => row.run::<true>(g, x, grad_input, grad, |w| precision.quantize(w)),
+                (Precision::Fp32, false) => row.run::<false, INPUT_GRAD>(g, x, gi, grad, |w| w),
+                (Precision::Fp32, true) => row.run::<true, INPUT_GRAD>(g, x, gi, grad, |w| w),
+                (_, false) => {
+                    row.run::<false, INPUT_GRAD>(g, x, gi, grad, |w| precision.quantize(w))
+                }
+                (_, true) => row.run::<true, INPUT_GRAD>(g, x, gi, grad, |w| precision.quantize(w)),
             }
         }
     }
@@ -536,9 +559,10 @@ struct BackwardRow<'a> {
 
 impl BackwardRow<'_> {
     /// Runs the row for output gradient `g`; `ZERO_ROW` (`g == 0`) takes the likelihood
-    /// gradient `+0.0` instead of `g·x[i]`.
+    /// gradient `+0.0` instead of `g·x[i]`, and `INPUT_GRAD` adds `w·g` into `grad_input`
+    /// (which is otherwise not read).
     #[inline(always)]
-    fn run<const ZERO_ROW: bool>(
+    fn run<const ZERO_ROW: bool, const INPUT_GRAD: bool>(
         self,
         g: f32,
         x: &[f32],
@@ -549,10 +573,12 @@ impl BackwardRow<'_> {
         let n = self.mu.len();
         let (epsilon, sigma, sigmoid) = (&self.epsilon[..n], &self.sigma[..n], &self.sigmoid[..n]);
         let (grad_mu, grad_rho) = (&mut self.grad_mu[..n], &mut self.grad_rho[..n]);
-        let (x, grad_input) = (&x[..n], &mut grad_input[..n]);
+        let (x, grad_input) = (&x[..n], &mut grad_input[..if INPUT_GRAD { n } else { 0 }]);
         for i in 0..n {
             let w = quantize(self.mu[i] + epsilon[i] * sigma[i]);
-            grad_input[i] += w * g;
+            if INPUT_GRAD {
+                grad_input[i] += w * g;
+            }
             let grad_w = if ZERO_ROW { 0.0 } else { g * x[i] };
             let (d_mu, d_rho) = grad.of(grad_w, w, epsilon[i], sigma[i], sigmoid[i]);
             grad_mu[i] += d_mu;

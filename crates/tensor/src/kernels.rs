@@ -9,8 +9,9 @@
 //! * convolution forward: bias first, then products ordered by `(ic, ky, kx)`;
 //! * weight gradient: products ordered by output pixel `(oy, ox)`;
 //! * input gradient: products ordered by `(om, oy, ox)` (realized as a unit-stride
-//!   convolution of the dilated, zero-embedded output gradient with 180°-rotated kernels,
-//!   whose k-dimension `(om, ky′, kx′)` enumerates the same terms in the same order);
+//!   convolution of the dilated, zero-embedded output gradient — at stride 1 just the
+//!   zero-padded gradient — with 180°-rotated kernels, whose k-dimension `(om, ky′, kx′)`
+//!   enumerates the same terms in the same order);
 //! * GEMM: plain `k`-ascending accumulation per scalar, never split into partial sums.
 //!
 //! Where the reference loops *skip* terms (out-of-bounds taps, explicit `g == 0` shortcuts),
@@ -816,16 +817,24 @@ fn outputs_in_bounds(
 /// Packs `input` (`[N, H, W]` data) into the im2col matrix `[N·K·K, OH·OW]` — the B panel
 /// of [`conv2d_forward_packed`]: row `(ic, ky, kx)`, column `(oy, ox)`, out-of-bounds taps
 /// as `0.0`. Row order `(ic, ky, kx)` is exactly the accumulation order of the reference
-/// forward loop. A row's in-bounds outputs form one range per axis (`outputs_in_bounds`),
-/// so each row segment is a zero fill, one copy (a slice copy at unit stride) and a zero
-/// fill instead of a bounds check per element. `col` holds
-/// [`ConvGeometry::panel_len`] floats.
+/// forward loop. `col` holds [`ConvGeometry::panel_len`] floats.
+///
+/// A stride-1 convolution whose output is as wide as its input (`K = 2·pad + 1`, every
+/// conv of the B-LeNet proxy) packs each row as one shifted copy of the input plane
+/// (`pack_shifted_rows`). Every other geometry packs per output row: a row's in-bounds
+/// outputs form one range per axis (`outputs_in_bounds`), so each output row's segment is
+/// a zero fill, one copy (a slice copy at unit stride) and a zero fill instead of a bounds
+/// check per element. Both write the same values, so the panel is the same either way.
 pub fn pack_im2col(geom: &ConvGeometry, input: &[f32], h: usize, w: usize, col: &mut [f32]) {
     let (n, k, stride, pad) = (geom.in_channels, geom.kernel, geom.stride, geom.padding);
     let (oh, ow) = geom.output_size(h, w);
     let cols = oh * ow;
     debug_assert_eq!(input.len(), n * h * w);
     debug_assert_eq!(col.len(), n * k * k * cols);
+    if stride == 1 && ow == w {
+        pack_shifted_rows(geom, input, h, w, col);
+        return;
+    }
     for ic in 0..n {
         let plane = &input[ic * h * w..(ic + 1) * h * w];
         for ky in 0..k {
@@ -853,6 +862,37 @@ pub fn pack_im2col(geom: &ConvGeometry, input: &[f32], h: usize, w: usize, col: 
                             *d = v;
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+/// [`pack_im2col`] for a stride-1 convolution whose output is its input's size. Row
+/// `(ic, ky, kx)` at flat column `j = oy·W + ox` holds `plane[j + (ky − pad)·W + kx − pad]`
+/// wherever that tap is in bounds: the plane shifted by a constant, so the row is zeros,
+/// one copy from the first in-bounds tap to the last, and zeros. Inside the copy, the
+/// `|kx − pad|` columns between two output rows read taps that wrapped into the next or
+/// previous input row, and are zeroed after it.
+fn pack_shifted_rows(geom: &ConvGeometry, input: &[f32], h: usize, w: usize, col: &mut [f32]) {
+    let (k, pad, hw) = (geom.kernel, geom.padding, h * w);
+    for (plane, rows) in input.chunks_exact(hw).zip(col.chunks_exact_mut(k * k * hw)) {
+        for (tap, row) in rows.chunks_exact_mut(hw).enumerate() {
+            let (ky, kx) = (tap / k, tap % k);
+            let (y_lo, y_hi) = outputs_in_bounds(ky, pad, 1, h, h);
+            let (x_lo, x_hi) = outputs_in_bounds(kx, pad, 1, w, w);
+            if y_lo == y_hi || x_lo == x_hi {
+                row.fill(0.0);
+                continue;
+            }
+            let (start, end) = (y_lo * w + x_lo, (y_hi - 1) * w + x_hi);
+            let src = (y_lo + ky - pad) * w + x_lo + kx - pad;
+            row[..start].fill(0.0);
+            row[start..end].copy_from_slice(&plane[src..src + (end - start)]);
+            row[end..].fill(0.0);
+            if x_hi - x_lo < w {
+                for oy in y_lo..y_hi - 1 {
+                    row[oy * w + x_hi..(oy + 1) * w + x_lo].fill(0.0);
                 }
             }
         }
@@ -958,8 +998,10 @@ pub fn conv2d_forward_packed(
 /// order. That is exactly the `(om, ky′, kx′)`-ordered k-dimension of a unit-stride
 /// convolution over the *dilated* output gradient (stride−1 zeros between elements, embedded
 /// with a `k−1−pad` border) with 180°-rotated, axis-swapped kernels — so the same
-/// im2col+GEMM machinery applies. Geometries with `padding ≥ kernel` (which never occur in
-/// the paper's models) fall back to the reference scatter.
+/// im2col+GEMM machinery applies. At stride 1 there is nothing to dilate, and the panel is
+/// packed straight from the output gradient at padding `k−1−pad`; only strides above 1
+/// build the dilated copy. Geometries with `padding ≥ kernel` (which never occur in the
+/// paper's models) fall back to the reference scatter.
 ///
 /// # Errors
 ///
@@ -992,24 +1034,7 @@ pub fn conv2d_backward_input_into(
         return Ok(());
     }
 
-    // 1. Embed the output gradient: D[om, oy·s + border, ox·s + border] = go[om, oy, ox]
-    //    with border = k − 1 − pad; everything else 0. A unit-stride valid convolution of D
-    //    then has output extent exactly [input_h, input_w].
-    let border = k - 1 - geom.padding;
-    let (dh, dw) = (input_h + k - 1, input_w + k - 1);
-    let mut dilated = scratch.take_f32(m * dh * dw);
-    let go = grad_output.data();
-    for om in 0..m {
-        let plane = &mut dilated[om * dh * dw..(om + 1) * dh * dw];
-        for oy in 0..oh {
-            let y = oy * geom.stride + border;
-            for ox in 0..ow {
-                plane[y * dw + ox * geom.stride + border] = go[(om * oh + oy) * ow + ox];
-            }
-        }
-    }
-
-    // 2. Rotate + axis-swap the kernels: A[ic, (om, ky′, kx′)] = w[om, ic, k−1−ky′, k−1−kx′].
+    // 1. Rotate + axis-swap the kernels: A[ic, (om, ky′, kx′)] = w[om, ic, k−1−ky′, k−1−kx′].
     let kk = m * k * k;
     let mut rot = scratch.take_f32(n * kk);
     let w_d = weights.data();
@@ -1024,12 +1049,34 @@ pub fn conv2d_backward_input_into(
         }
     }
 
-    // 3. im2col over D (kernel k, stride 1, no padding — the border is already embedded).
-    let dil_geom =
-        ConvGeometry { in_channels: m, out_channels: n, kernel: k, stride: 1, padding: 0 };
+    // 2. The im2col panel of D, the output gradient embedded with stride − 1 zeros between
+    //    elements and a border of k − 1 − pad: D[om, oy·s + border, ox·s + border] =
+    //    go[om, oy, ox], everything else 0. A unit-stride valid convolution of D has output
+    //    extent exactly [input_h, input_w]. At stride 1, D is the gradient zero-padded by the
+    //    border, so its panel is the gradient's own im2col at padding `border`.
+    let border = k - 1 - geom.padding;
     let cols = input_h * input_w;
     let mut col = scratch.take_f32(kk * cols);
-    pack_im2col(&dil_geom, &dilated, dh, dw, &mut col);
+    let go = grad_output.data();
+    let padded =
+        ConvGeometry { in_channels: m, out_channels: n, kernel: k, stride: 1, padding: border };
+    if geom.stride == 1 {
+        pack_im2col(&padded, go, oh, ow, &mut col);
+    } else {
+        let (dh, dw) = (input_h + k - 1, input_w + k - 1);
+        let mut dilated = scratch.take_f32(m * dh * dw);
+        for om in 0..m {
+            let plane = &mut dilated[om * dh * dw..(om + 1) * dh * dw];
+            for oy in 0..oh {
+                let y = oy * geom.stride + border;
+                for ox in 0..ow {
+                    plane[y * dw + ox * geom.stride + border] = go[(om * oh + oy) * ow + ox];
+                }
+            }
+        }
+        pack_im2col(&ConvGeometry { padding: 0, ..padded }, &dilated, dh, dw, &mut col);
+        scratch.put_f32(dilated);
+    }
 
     let gi = grad_in.data_mut();
     gi.fill(0.0);
@@ -1037,7 +1084,6 @@ pub fn conv2d_backward_input_into(
 
     scratch.put_f32(col);
     scratch.put_f32(rot);
-    scratch.put_f32(dilated);
     Ok(())
 }
 

@@ -37,14 +37,17 @@ pub fn max_pool2d(input: &Tensor, window: usize) -> Result<PoolOutput, TensorErr
     let (oh, ow) = (h / window, w / window);
     let mut output = Tensor::zeros(&[c, oh, ow]);
     let mut argmax = vec![0usize; c * oh * ow];
-    max_pool2d_into(input, window, &mut output, &mut argmax)?;
+    max_pool2d_into(input, window, &mut output, Some(&mut argmax))?;
     Ok(PoolOutput { output, argmax })
 }
 
-/// Max pooling into caller-provided output and argmax buffers — the zero-allocation variant
-/// of [`max_pool2d`], bit-identical (same scan order, same strict-`>` tie-breaking).
+/// Max pooling into a caller-provided output and, when `argmax` is given, the argmax
+/// record — the zero-allocation variant of [`max_pool2d`], bit-identical (same scan order,
+/// same strict-`>` tie-breaking). Only the backward stage and the moment backend's variance
+/// gather read the record, so inference passes none. Window 2, the window of every pool the
+/// B-LeNet proxy builds, runs the pooling loop compiled for that window.
 ///
-/// `out` must be `[C, H/window, W/window]` and `argmax.len()` must equal `out.len()`.
+/// `out` must be `[C, H/window, W/window]` and `argmax`, if any, as long as `out`.
 ///
 /// # Errors
 ///
@@ -57,7 +60,7 @@ pub fn max_pool2d_into(
     input: &Tensor,
     window: usize,
     out: &mut Tensor,
-    argmax: &mut [usize],
+    argmax: Option<&mut [usize]>,
 ) -> Result<(), TensorError> {
     let shape = input.shape();
     if shape.len() != 3
@@ -71,34 +74,60 @@ pub fn max_pool2d_into(
         });
     }
     let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let (oh, ow) = (h / window, w / window);
-    assert_eq!(out.shape(), &[c, oh, ow], "pooled output shape mismatch");
-    assert_eq!(argmax.len(), c * oh * ow, "argmax record size mismatch");
-    let in_d = input.data();
-    let out_d = out.data_mut();
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for dy in 0..window {
-                    for dx in 0..window {
-                        let iy = oy * window + dy;
-                        let ix = ox * window + dx;
-                        let idx = (ch * h + iy) * w + ix;
-                        if in_d[idx] > best {
-                            best = in_d[idx];
-                            best_idx = idx;
+    assert_eq!(out.shape(), &[c, h / window, w / window], "pooled output shape mismatch");
+    let (in_d, out_d) = (input.data(), out.data_mut());
+    if let Some(argmax) = &argmax {
+        assert_eq!(argmax.len(), out_d.len(), "argmax record size mismatch");
+    }
+    if out_d.is_empty() {
+        return Ok(());
+    }
+    match (window, argmax) {
+        (2, None) => pool_rows::<2, false>(in_d, w, 2, out_d, &mut []),
+        (2, Some(argmax)) => pool_rows::<2, true>(in_d, w, 2, out_d, argmax),
+        (_, None) => pool_rows::<0, false>(in_d, w, window, out_d, &mut []),
+        (_, Some(argmax)) => pool_rows::<0, true>(in_d, w, window, out_d, argmax),
+    }
+    Ok(())
+}
+
+/// The one pooling loop. The `[C, H, W]` input is read as `C·OH` bands of `window` rows
+/// (channel `ch`'s band `oy` starts at input row `ch·H + oy·window`), band `r` filling output
+/// row `r`. Each window compares its taps in raster order `(dy, dx)` with strict `>` from
+/// −∞, so the first maximum wins and a window where nothing beats −∞ (all NaN or −∞) pools
+/// to −∞ and records flat index 0. `WINDOW` fixes the window at compile time (0: `window`
+/// at run time) and `RECORD` whether `argmax` is written; neither changes a comparison.
+#[inline(always)]
+fn pool_rows<const WINDOW: usize, const RECORD: bool>(
+    input: &[f32],
+    w: usize,
+    window: usize,
+    out: &mut [f32],
+    argmax: &mut [usize],
+) {
+    let window = if WINDOW == 0 { window } else { WINDOW };
+    let (ow, band) = (w / window, window * w);
+    for (r, (out_row, rows)) in out.chunks_exact_mut(ow).zip(input.chunks_exact(band)).enumerate() {
+        for (ox, o) in out_row.iter_mut().enumerate() {
+            let mut best = f32::NEG_INFINITY;
+            let mut best_idx = 0usize;
+            for dy in 0..window {
+                let first = dy * w + ox * window;
+                for (dx, &v) in rows[first..first + window].iter().enumerate() {
+                    if v > best {
+                        best = v;
+                        if RECORD {
+                            best_idx = r * band + first + dx;
                         }
                     }
                 }
-                let oidx = (ch * oh + oy) * ow + ox;
-                out_d[oidx] = best;
-                argmax[oidx] = best_idx;
+            }
+            *o = best;
+            if RECORD {
+                argmax[r * ow + ox] = best_idx;
             }
         }
     }
-    Ok(())
 }
 
 /// Max-pooling gradient into a caller-provided tensor (zero-allocation variant of
@@ -171,6 +200,87 @@ mod tests {
         assert!(max_pool2d(&input, 2).is_err());
         let input = Tensor::zeros(&[1, 4]);
         assert!(max_pool2d(&input, 2).is_err());
+    }
+
+    /// The `(ch, oy, ox, dy, dx)` loop nest pooling started from: per window, strict `>`
+    /// from −∞ in raster order, flat index 0 when no tap beats −∞.
+    fn nested_loop_pool(input: &Tensor, window: usize) -> (Vec<u32>, Vec<usize>) {
+        let &[c, h, w] = input.shape() else { panic!("rank 3") };
+        let (mut values, mut argmax) = (Vec::new(), Vec::new());
+        for ch in 0..c {
+            for oy in 0..h / window {
+                for ox in 0..w / window {
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0);
+                    for dy in 0..window {
+                        for dx in 0..window {
+                            let idx = (ch * h + oy * window + dy) * w + ox * window + dx;
+                            if input.data()[idx] > best {
+                                (best, best_idx) = (input.data()[idx], idx);
+                            }
+                        }
+                    }
+                    values.push(best.to_bits());
+                    argmax.push(best_idx);
+                }
+            }
+        }
+        (values, argmax)
+    }
+
+    #[test]
+    fn window_two_body_matches_the_generic_loop_on_special_values() {
+        // Every 4-tap sequence over NaN, ±0.0, ±∞ and a tied pair: one window per channel,
+        // then the same values as 16 channels of 16×64, where windows span two rows.
+        const SPECIAL: [f32; 8] =
+            [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.5, -1.5, 1.5];
+        let taps: Vec<f32> =
+            (0..4096usize).flat_map(|i| (0..4).map(move |t| SPECIAL[(i >> (3 * t)) % 8])).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for shape in [[4096, 2, 2], [16, 16, 64], [4, 6, 2]] {
+            let len = shape.iter().product();
+            let input = Tensor::from_vec(shape.to_vec(), taps[..len].to_vec()).unwrap();
+            let pooled = [shape[0], shape[1] / 2, shape[2] / 2];
+            let (want_values, want_argmax) = nested_loop_pool(&input, 2);
+
+            let mut generic = Tensor::zeros(&pooled);
+            let mut generic_argmax = vec![usize::MAX; generic.len()];
+            pool_rows::<0, true>(
+                input.data(),
+                shape[2],
+                2,
+                generic.data_mut(),
+                &mut generic_argmax,
+            );
+            assert_eq!((bits(&generic), &generic_argmax), (want_values.clone(), &want_argmax));
+
+            let mut out = Tensor::zeros(&pooled);
+            let mut argmax = vec![usize::MAX; out.len()];
+            max_pool2d_into(&input, 2, &mut out, Some(&mut argmax)).unwrap();
+            assert_eq!((bits(&out), &argmax), (want_values.clone(), &want_argmax), "{shape:?}");
+            let mut values_only = Tensor::filled(&pooled, 7.0);
+            max_pool2d_into(&input, 2, &mut values_only, None).unwrap();
+            assert_eq!(bits(&values_only), want_values, "{shape:?} values only");
+        }
+        // A window where nothing beats −∞ records flat index 0, wherever it sits.
+        let input = Tensor::from_vec(
+            vec![1, 2, 4],
+            vec![1.0, 2.0, f32::NAN, f32::NEG_INFINITY, 3.0, 4.0, f32::NEG_INFINITY, f32::NAN],
+        )
+        .unwrap();
+        let pooled = max_pool2d(&input, 2).unwrap();
+        assert_eq!(pooled.argmax, [5, 0]);
+        assert_eq!(pooled.output.data(), &[4.0, f32::NEG_INFINITY]);
+    }
+
+    #[test]
+    fn other_windows_keep_the_generic_loop() {
+        let input = crate::init::splitmix_tensor(9, &[3, 6, 12]);
+        for window in [1, 3, 6] {
+            let (values, argmax) = nested_loop_pool(&input, window);
+            let pooled = max_pool2d(&input, window).unwrap();
+            let got: Vec<u32> = pooled.output.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!((got, pooled.argmax), (values, argmax), "window {window}");
+        }
     }
 
     #[test]

@@ -90,6 +90,51 @@ proptest! {
         assert_bits_eq(&got_gb, &want_gb, "grad_bias")?;
     }
 
+    /// Stride-1 convolutions whose output is as wide as their input (`K = 2·pad + 1`, every
+    /// conv of the B-LeNet proxy) pack shifted rows, and their input gradient packs the
+    /// output gradient at padding `K − 1 − pad` with no dilated copy. Planes run from one
+    /// pixel up, so they are often narrower or shorter than the kernel.
+    #[test]
+    fn same_width_stride_one_convs_match_reference_bitwise(
+        n in 1usize..5,
+        m in 1usize..5,
+        kernel in prop::sample::select(vec![1usize, 3, 5]),
+        h in 1usize..15,
+        w in 1usize..15,
+        seed in 0u64..u64::MAX,
+    ) {
+        let geom =
+            ConvGeometry { in_channels: n, out_channels: m, kernel, stride: 1, padding: kernel / 2 };
+        prop_assert_eq!(geom.output_size(h, w), (h, w));
+        let input = fill(seed, &[n, h, w]);
+        let weights = fill(seed ^ 0xAAAA, &[m, n, kernel, kernel]);
+        let bias = fill(seed ^ 0x5555, &[m]);
+        let grad_out = fill(seed ^ 0x3333, &[m, h, w]);
+        let mut scratch = bit_exact_scratch();
+
+        let want = reference::conv2d_forward(&geom, &input, &weights, &bias).unwrap();
+        let mut got = scratch.take_tensor(&[m, h, w]);
+        conv2d_forward_into(&geom, &input, &weights, &bias, &mut got, &mut scratch).unwrap();
+        assert_bits_eq(&got, &want, "forward")?;
+
+        let want = reference::conv2d_backward_input(&geom, &grad_out, &weights, h, w).unwrap();
+        let mut got = scratch.take_tensor(&[n, h, w]);
+        conv2d_backward_input_into(&geom, &grad_out, &weights, h, w, &mut got, &mut scratch)
+            .unwrap();
+        assert_bits_eq(&got, &want, "grad_input")?;
+
+        let (want_gw, want_gb) =
+            reference::conv2d_backward_weights(&geom, &input, &grad_out).unwrap();
+        let mut got_gw = scratch.take_tensor(&[m, n, kernel, kernel]);
+        let mut got_gb = scratch.take_tensor(&[m]);
+        conv2d_backward_weights_into(
+            &geom, &input, &grad_out, &mut got_gw, &mut got_gb, &mut scratch,
+        )
+        .unwrap();
+        assert_bits_eq(&got_gw, &want_gw, "grad_weights")?;
+        assert_bits_eq(&got_gb, &want_gb, "grad_bias")?;
+    }
+
     /// Sparse upstream gradients (exact zeros) exercise the reference's `g == 0` skip
     /// shortcuts against the packed kernels' branch-free accumulation.
     #[test]
