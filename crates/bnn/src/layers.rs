@@ -750,7 +750,8 @@ impl Layer for BayesConv2d {
         cache_tensor(&mut self.cached_inputs, sample, input, scratch);
 
         let mut out = scratch.take_tensor(&[self.geometry.out_channels, oh, ow]);
-        conv2d_forward_packed(&self.geometry, &self.col_panel, &w, &self.bias, &mut out, scratch)?;
+        let (col, bias) = (&self.col_panel, &self.bias);
+        conv2d_forward_packed(&self.geometry, col, &w, bias, out.data_mut(), scratch)?;
         self.config.precision.quantize_tensor_inplace(&mut out);
 
         scratch.put_tensor(w);
@@ -789,7 +790,6 @@ impl Layer for BayesConv2d {
 
         let mut epsilon = scratch.take_f32(self.weights.len());
         let mut w = scratch.take_tensor(self.weights.shape());
-        let mut out_s = scratch.take_tensor(&[cout, oh, ow]);
         let mut out = scratch.take_tensor(&[samples * cout, oh, ow]);
         // The panel will hold slices of `stacked`, which no cache slot keeps.
         self.col_sample = None;
@@ -802,21 +802,14 @@ impl Layer for BayesConv2d {
             if s == 0 || !same_bits(input_s, &x[(s - 1) * per_in..s * per_in]) {
                 pack_im2col(&self.geometry, input_s, h, w_dim, &mut self.col_panel);
             }
-            // The driver overwrites every output scalar (bias prefill), so `out_s` reuse is
-            // sound across samples.
-            conv2d_forward_packed(
-                &self.geometry,
-                &self.col_panel,
-                &w,
-                &self.bias,
-                &mut out_s,
-                scratch,
-            )?;
-            self.config.precision.quantize_tensor_inplace(&mut out_s);
-            out.data_mut()[s * per_out..(s + 1) * per_out].copy_from_slice(out_s.data());
+            // `conv2d_forward_packed` seeds every output scalar with its bias, so the
+            // sample's slice of `out` needs no clearing.
+            let out_s = &mut out.data_mut()[s * per_out..(s + 1) * per_out];
+            let (col, bias) = (&self.col_panel, &self.bias);
+            conv2d_forward_packed(&self.geometry, col, &w, bias, out_s, scratch)?;
+            self.config.precision.quantize_inplace(out_s);
         }
 
-        scratch.put_tensor(out_s);
         scratch.put_tensor(w);
         scratch.put_f32(epsilon);
         scratch.put_tensor(stacked);
@@ -915,12 +908,13 @@ impl Layer for ReluLayer {
         Ok(out)
     }
 
-    /// Fused evaluation: ReLU is elementwise, so inference-only calls apply it to the whole
-    /// stacked activation at once and skip the per-sample input cache. Training calls defer
-    /// to the split walk (the backward stage needs per-sample caches).
+    /// Fused evaluation: ReLU is elementwise, so inference-only calls rectify the whole
+    /// stacked activation in place (`v.max(0.0)`, as [`relu_into`] computes it) and skip the
+    /// per-sample input cache. Training calls defer to the split walk (the backward stage
+    /// needs per-sample caches).
     fn forward_all(
         &mut self,
-        stacked: Tensor,
+        mut stacked: Tensor,
         samples: usize,
         sources: &mut [Box<dyn EpsilonSource>],
         train: bool,
@@ -929,10 +923,8 @@ impl Layer for ReluLayer {
         if train {
             return forward_all_split(self, stacked, samples, sources, scratch);
         }
-        let mut out = scratch.take_tensor(stacked.shape());
-        relu_into(&stacked, &mut out);
-        scratch.put_tensor(stacked);
-        Ok(out)
+        stacked.map_inplace(|v| v.max(0.0));
+        Ok(stacked)
     }
 
     fn backward(

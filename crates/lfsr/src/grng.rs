@@ -16,8 +16,8 @@
 //!
 //! The hardware updates its sum once per shift, a serial chain of ±1 steps. The software twin
 //! keeps the same invariant — `current_sum` is always the pattern's pop-count — but moves up
-//! to 64 shifts per word operation ([`Lfsr::step_forward64`], [`Lfsr::step_backward64`]) and
-//! reads all of a batch's sums from prefix counts of the batch's entering and leaving bits:
+//! to 64 shifts per word operation and reads all of a batch's sums from prefix counts of the
+//! batch's entering and leaving bits:
 //!
 //! * **Forward.** Step `j` of the batch sits at bit `63 − j` of both words, so the sum after
 //!   step `r` is `current_sum + ones(entering, top r+1 bits) − ones(leaving, top r+1 bits)`.
@@ -29,17 +29,33 @@
 //!   swapped and the base at the batch's far end, so the block comes out already in
 //!   generation order.
 //!
-//! Both directions read the prefix counts eight at a time from a const 256×8 table of byte
-//! prefix counts. A sum maps straight to an `f32`: by `(s − n/2)·c` in `f32` arithmetic when
-//! that reproduces every entry of [`Grng::epsilon_table`] narrowed to `f32` (checked once per
-//! width when its tables are built; true for the 256-bit default, `(s − 128)·0.125`), else by
-//! a load from an `f32` copy of the table (the 128- and 192-bit registers). A block that is
-//! not a whole number of words ends in one batch of `k < 64` steps through the same code.
-//! Registers without [`Lfsr::supports_batch64`] step bit-serially through
-//! [`Grng::next_epsilon`] and [`Grng::retrieve_epsilon`].
+//! Every fill and [`Grng::skip_forward`] choose their walk once per call from the register's
+//! width and taps. The 128-, 192- and 256-bit maximal-tap registers, whose taps all sit at
+//! position ≥ 64, run one batch walk compiled per geometry, with the word count and tap
+//! positions as constants: it copies the register's words into a local array, moves each
+//! whole 64-step batch as a word rotation (forward, the new word is an XOR of constant-shift
+//! tap extractions; backward, constant rewind rounds recover it), writes the batch's 64 ε as
+//! one fixed chunk, and writes the words, position, sum and outstanding count back once. A
+//! block that is not a whole number of words ends in one batch of `k < 64` steps through the
+//! same body. Every other register — the narrow widths, and any custom tap set — steps
+//! bit-serially through [`Grng::next_epsilon`] and [`Grng::retrieve_epsilon`].
+//!
+//! The prefix counts come eight at a time from a const 256×8 table of byte prefix counts.
+//! Consecutive octet bases differ by the earlier octet's two rows' last lanes (its whole-byte
+//! counts): a scalar chain that runs up from the sum before a forward batch and down from the
+//! sum before a rewind, so no pop-count is taken. A sum maps straight to an `f32`: by
+//! `(s − n/2)·c` in `f32` arithmetic when that reproduces every entry of
+//! [`Grng::epsilon_table`] narrowed to `f32` (checked once per width when its tables are
+//! built; true for the 256-bit default, `(s − 128)·0.125`), else by a load from an `f32`
+//! copy of the table (the 128- and 192-bit registers). Where the CPU has AVX2 the affine
+//! map's eight lanes are two integer ops, one convert and one multiply; elsewhere the same
+//! integer arithmetic runs in portable Rust. The lane integers are the scalar ones and the
+//! convert is exact, so both round as `(s − n/2) as f32 * c` does.
 
 use crate::error::LfsrError;
-use crate::lfsr::{Lfsr, LfsrState, MAX_WIDTH};
+use crate::lfsr::{
+    Batch128, Batch192, Batch256, BatchRegister, Geometry, Lfsr, LfsrState, MAX_WIDTH,
+};
 use std::sync::OnceLock;
 
 /// Operating mode of a [`Grng`], mirroring the three modes of the hardware GRNG.
@@ -200,7 +216,7 @@ impl Grng {
             let scale = (1.0 / (0.25 * width as f64).sqrt()) as f32;
             let exact = (0..)
                 .zip(&table)
-                .all(|(s, &e)| affine(s, half, scale).to_bits() == (e as f32).to_bits());
+                .all(|(s, &e)| Affine { half, scale }.map(s).to_bits() == (e as f32).to_bits());
             let narrow = if exact {
                 NarrowMap::Affine { half, scale }
             } else {
@@ -254,33 +270,111 @@ impl Grng {
         epsilon
     }
 
-    /// The forward core behind [`Grng::fill_epsilon`] and [`Grng::generate`]: writes the
-    /// next `out.len()` ε values, mapping each pattern's pop-count through `map`. It steps
-    /// the register in batches of up to 64 ([`Lfsr::step_forward64`]) wherever the register
-    /// supports it and reads each batch's pop-counts as prefix counts (module docs), or
-    /// steps with [`Grng::next_epsilon`] per value otherwise. `map` must return the ε of a
-    /// pop-count (a table entry or [`affine`]), so the stream is bit-identical to `out.len()`
-    /// calls of [`Grng::next_epsilon`] (pinned by `tests/word_parallel.rs`).
-    fn fill_forward_with<T: Copy + Default>(&mut self, out: &mut [T], map: impl Fn(i32) -> T) {
-        assert_eq!(self.mode, GrngMode::Forward, "ε generation requires forward mode");
-        if !self.lfsr.supports_batch64() {
-            for slot in out.iter_mut() {
-                self.next_epsilon();
-                *slot = map(self.current_sum as i32);
+    /// The ε walk behind every fill: generates (`FORWARD`) or retrieves the next
+    /// `out.len()` ε values, mapping each pattern's pop-count through `map`. Forward, `out`
+    /// receives the stream in order; backward, the last `out.len()` generated values **in
+    /// generation order**. The register's walk is chosen once per call from its geometry
+    /// ([`Lfsr::geometry`]): the three batch registers run [`Grng::walk_batches`]; any other
+    /// register steps with [`Grng::next_epsilon`] or [`Grng::retrieve_epsilon`] per value
+    /// and reads each pop-count through the same `map`. `map` returns the ε of a pop-count
+    /// (a table entry or `(s − n/2)·c`), so every path is bit-identical to `out.len()` calls
+    /// of the bit-serial step (pinned by `tests/word_parallel.rs`).
+    #[inline(always)]
+    fn walk<const FORWARD: bool, M: EpsilonMap>(&mut self, out: &mut [M::Out], map: M) {
+        if FORWARD {
+            assert_eq!(self.mode, GrngMode::Forward, "ε generation requires forward mode");
+        } else {
+            assert_eq!(self.mode, GrngMode::Backward, "ε retrieval requires backward mode");
+        }
+        match self.lfsr.geometry() {
+            Geometry::Batch128 => {
+                self.walk_batches::<FORWARD, _, _, _, _, _>(Batch128::load(&self.lfsr), out, map)
             }
-            return;
+            Geometry::Batch192 => {
+                self.walk_batches::<FORWARD, _, _, _, _, _>(Batch192::load(&self.lfsr), out, map)
+            }
+            Geometry::Batch256 => {
+                self.walk_batches::<FORWARD, _, _, _, _, _>(Batch256::load(&self.lfsr), out, map)
+            }
+            Geometry::BitSerial if FORWARD => {
+                for slot in out.iter_mut() {
+                    self.next_epsilon();
+                    *slot = map.map(self.current_sum as i32);
+                }
+            }
+            Geometry::BitSerial => {
+                for slot in out.iter_mut().rev() {
+                    *slot = map.map(self.current_sum as i32);
+                    self.retrieve_epsilon();
+                }
+            }
         }
+    }
+
+    /// The batch walk over `register`, a copy of this generator's register: one batch per
+    /// whole 64-value chunk of `out` — forward from the front, backward from the back — then
+    /// one batch of fewer than 64 steps for what is left, if anything is ([`fill_batch`]).
+    /// The words, the position, `current_sum` and `outstanding` are written back once, at
+    /// the end.
+    #[inline(always)]
+    fn walk_batches<
+        const FORWARD: bool,
+        const N: usize,
+        const A: usize,
+        const B: usize,
+        const C: usize,
+        M: EpsilonMap,
+    >(
+        &mut self,
+        mut register: BatchRegister<N, A, B, C>,
+        out: &mut [M::Out],
+        map: M,
+    ) {
         let mut sum = self.current_sum as i32;
-        for batch in out.chunks_mut(64) {
-            let (entering, leaving) = self.lfsr.step_forward64(batch.len());
-            let (starts, total) = octet_starts(entering, leaving);
-            prefix_fill(sum, &starts, entering, leaving, batch, &map);
-            sum += total;
+        if FORWARD {
+            let (whole, rest) = out.as_chunks_mut::<64>();
+            for chunk in whole {
+                fill_batch::<FORWARD, _, _, _, _, _>(&mut register, &mut sum, map, chunk);
+            }
+            if !rest.is_empty() {
+                fill_batch::<FORWARD, _, _, _, _, _>(&mut register, &mut sum, map, rest);
+            }
+        } else {
+            let (rest, whole) = out.as_rchunks_mut::<64>();
+            for chunk in whole.iter_mut().rev() {
+                fill_batch::<FORWARD, _, _, _, _, _>(&mut register, &mut sum, map, chunk);
+            }
+            if !rest.is_empty() {
+                fill_batch::<FORWARD, _, _, _, _, _>(&mut register, &mut sum, map, rest);
+            }
         }
+        let steps = if FORWARD { out.len() as i64 } else { -(out.len() as i64) };
+        register.store(&mut self.lfsr, steps);
         self.current_sum = sum as u32;
         debug_assert_eq!(self.current_sum, self.lfsr.popcount());
-        self.outstanding += out.len() as i64;
-        crate::profile::record_epsilon(out.len() as u64);
+        self.outstanding += steps;
+        if FORWARD {
+            crate::profile::record_epsilon(out.len() as u64);
+        }
+    }
+
+    /// [`Grng::walk`] with the affine map, through the AVX2 octet body where the CPU has
+    /// AVX2 and the portable one elsewhere.
+    fn walk_affine<const FORWARD: bool>(&mut self, out: &mut [f32], map: Affine) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(map) = Avx2Affine::detect(map) {
+            // SAFETY: `detect` returns a map only when this CPU has AVX2.
+            return unsafe { self.walk_avx2::<FORWARD>(out, map) };
+        }
+        self.walk::<FORWARD, _>(out, map);
+    }
+
+    /// [`Grng::walk`] compiled with AVX2 enabled, so that [`Avx2Affine`]'s octet body
+    /// inlines into it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn walk_avx2<const FORWARD: bool>(&mut self, out: &mut [f32], map: Avx2Affine) {
+        self.walk::<FORWARD, _>(out, map);
     }
 
     /// Fills `out` with the next forward ε values as `f32` — the word-parallel,
@@ -293,41 +387,10 @@ impl Grng {
     pub fn fill_epsilon(&mut self, out: &mut [f32]) {
         match &self.maps().narrow {
             &NarrowMap::Affine { half, scale } => {
-                self.fill_forward_with(out, |s| affine(s, half, scale));
+                self.walk_affine::<true>(out, Affine { half, scale });
             }
-            NarrowMap::Table(table) => self.fill_forward_with(out, |s| table[s as usize]),
+            NarrowMap::Table(table) => self.walk::<true, _>(out, Table(table)),
         }
-    }
-
-    /// The backward core behind [`Grng::fill_retrieved`] and [`Grng::retrieve`], the mirror
-    /// of `fill_forward_with`: retrieves the last `out.len()` generated ε values and writes
-    /// them **in generation order**. It rewinds the register in batches of up to 64
-    /// ([`Lfsr::step_backward64`]), filling `out` from its end, and reads each batch's
-    /// pop-counts as prefix counts against the post-rewind sum, which yields the batch in
-    /// generation order (module docs); registers without the batch step with
-    /// [`Grng::retrieve_epsilon`] per value. Bit-identical to `out.len()` calls of
-    /// [`Grng::retrieve_epsilon`] written back to front (pinned by `tests/word_parallel.rs`).
-    fn fill_backward_with<T: Copy + Default>(&mut self, out: &mut [T], map: impl Fn(i32) -> T) {
-        assert_eq!(self.mode, GrngMode::Backward, "ε retrieval requires backward mode");
-        if !self.lfsr.supports_batch64() {
-            for slot in out.iter_mut().rev() {
-                *slot = map(self.current_sum as i32);
-                self.retrieve_epsilon();
-            }
-            return;
-        }
-        let mut sum = self.current_sum as i32;
-        for batch in out.rchunks_mut(64) {
-            let (entering, leaving) = self.lfsr.step_backward64(batch.len());
-            let top = 64 - batch.len();
-            let (plus, minus) = (leaving << top, entering << top);
-            let (starts, total) = octet_starts(plus, minus);
-            sum -= total;
-            prefix_fill(sum, &starts, plus, minus, batch, &map);
-        }
-        self.current_sum = sum as u32;
-        debug_assert_eq!(self.current_sum, self.lfsr.popcount());
-        self.outstanding -= out.len() as i64;
     }
 
     /// Fills `out` with retrieved ε values **in generation order** (the backward LFSR walk
@@ -340,16 +403,17 @@ impl Grng {
     pub fn fill_retrieved(&mut self, out: &mut [f32]) {
         match &self.maps().narrow {
             &NarrowMap::Affine { half, scale } => {
-                self.fill_backward_with(out, |s| affine(s, half, scale));
+                self.walk_affine::<false>(out, Affine { half, scale });
             }
-            NarrowMap::Table(table) => self.fill_backward_with(out, |s| table[s as usize]),
+            NarrowMap::Table(table) => self.walk::<false, _>(out, Table(table)),
         }
     }
 
     /// Advances the generator past `count` forward ε values without emitting them — ending in
     /// exactly the state `count` calls of [`Grng::next_epsilon`] would leave (register,
-    /// pop-count and outstanding balance), but using word-parallel batches where supported,
-    /// and without counting the skipped values in [`crate::profile`].
+    /// pop-count and outstanding balance), without counting the skipped values in
+    /// [`crate::profile`]. A batch register moves whole words by rotation and ends in at
+    /// most one batch of fewer than 64 steps; any other register steps bit-serially.
     /// This is how Shift-BNN's retrieval source fast-forwards at iteration end so the next
     /// iteration draws fresh noise.
     ///
@@ -358,34 +422,29 @@ impl Grng {
     /// Panics unless the GRNG is in [`GrngMode::Forward`].
     pub fn skip_forward(&mut self, count: usize) {
         assert_eq!(self.mode, GrngMode::Forward, "skip_forward requires forward mode");
-        if self.lfsr.supports_batch64() {
-            let mut remaining = count;
-            while remaining > 0 {
-                let batch = remaining.min(64);
-                self.lfsr.step_forward64(batch);
-                remaining -= batch;
-            }
-        } else {
-            self.lfsr.step_forward_by(count);
+        match self.lfsr.geometry() {
+            Geometry::Batch128 => Batch128::skip(&mut self.lfsr, count),
+            Geometry::Batch192 => Batch192::skip(&mut self.lfsr, count),
+            Geometry::Batch256 => Batch256::skip(&mut self.lfsr, count),
+            Geometry::BitSerial => self.lfsr.step_forward_by(count),
         }
         self.current_sum = self.lfsr.popcount();
         self.outstanding += count as i64;
     }
 
-    /// Generates `count` forward ε values (delegates to the word-parallel fill core).
+    /// Generates `count` forward ε values (the same walk as [`Grng::fill_epsilon`], through
+    /// the `f64` table).
     pub fn generate(&mut self, count: usize) -> Vec<f64> {
         let mut out = vec![0.0f64; count];
-        let table = self.epsilon_table();
-        self.fill_forward_with(&mut out, |s| table[s as usize]);
+        self.walk::<true, _>(&mut out, Table(self.epsilon_table()));
         out
     }
 
-    /// Retrieves `count` ε values in reverse generation order (delegates to the word-parallel
-    /// backward core).
+    /// Retrieves `count` ε values in reverse generation order (the same walk as
+    /// [`Grng::fill_retrieved`], through the `f64` table).
     pub fn retrieve(&mut self, count: usize) -> Vec<f64> {
         let mut out = vec![0.0f64; count];
-        let table = self.epsilon_table();
-        self.fill_backward_with(&mut out, |s| table[s as usize]);
+        self.walk::<false, _>(&mut out, Table(self.epsilon_table()));
         out.reverse();
         out
     }
@@ -513,55 +572,191 @@ fn octet(word: u64, i: usize) -> usize {
     usize::from((word >> (56 - 8 * i)) as u8)
 }
 
-/// A batch's running difference at each octet boundary: `starts[i]` is
-/// `ones(plus, top 8i bits) − ones(minus, top 8i bits)`, and the second value is the
-/// difference over the whole word. Kept apart from [`prefix_fill`]'s lanes so that the only
-/// chain from one octet to the next is this scalar sum.
-#[inline]
-fn octet_starts(plus: u64, minus: u64) -> ([i32; 8], i32) {
-    let mut starts = [0i32; 8];
-    let mut running = 0;
-    for (i, start) in starts.iter_mut().enumerate() {
-        *start = running;
-        running += PREFIX_ONES[octet(plus, i)][7] - PREFIX_ONES[octet(minus, i)][7];
+/// One batch of `out.len() ≤ 64` steps of [`Grng::walk_batches`]. Forward, the batch's
+/// pop-counts are `sum + ones(entering, top r+1) − ones(leaving, top r+1)` on the sum
+/// before it; backward, they are the same form with the two words swapped, shifted to the
+/// top, and the sum after the rewind as base, which puts the batch in generation order
+/// (module docs). `sum` moves to the sum after the batch. A whole chunk's `k = 64` is a
+/// constant here, so the register's batch is a word rotation.
+#[inline(always)]
+fn fill_batch<
+    const FORWARD: bool,
+    const N: usize,
+    const A: usize,
+    const B: usize,
+    const C: usize,
+    M: EpsilonMap,
+>(
+    register: &mut BatchRegister<N, A, B, C>,
+    sum: &mut i32,
+    map: M,
+    out: &mut [M::Out],
+) {
+    let k = out.len();
+    if FORWARD {
+        let (entering, leaving) = register.forward(k);
+        *sum = prefix_fill::<FORWARD, M>(map, *sum, entering, leaving, out);
+    } else {
+        let (entering, leaving) = register.backward(k);
+        *sum = prefix_fill::<FORWARD, M>(map, *sum, leaving << (64 - k), entering << (64 - k), out);
     }
-    (starts, running)
 }
 
 /// Writes `out[r] = map(base + ones(plus, top r+1 bits) − ones(minus, top r+1 bits))` for
-/// every `r < out.len() ≤ 64`, eight at a time from `PREFIX_ONES` on top of the octet
-/// `starts` of [`octet_starts`].
-#[inline]
-fn prefix_fill<T: Copy + Default>(
-    base: i32,
-    starts: &[i32; 8],
+/// every `r < out.len() ≤ 64`, eight lanes at a time from `PREFIX_ONES`, and returns the
+/// sum at the batch's far end. The bits of `plus` and `minus` past `out.len()` are zero.
+/// Each octet's base differs from the next one's by its two rows' last lanes (whole-byte
+/// counts), so the only chain from octet to octet is a scalar add, and no separate pop-count
+/// is taken. Forward, `sum` is the base of the first octet and the chain runs up to the
+/// sum after the batch; backward, `sum` is the sum before the rewind, the base past the last
+/// octet, and the chain runs down, from the last octet to the first, to the sum after it.
+#[inline(always)]
+fn prefix_fill<const FORWARD: bool, M: EpsilonMap>(
+    map: M,
+    sum: i32,
     plus: u64,
     minus: u64,
-    out: &mut [T],
-    map: &impl Fn(i32) -> T,
-) {
-    let fill = |i: usize, dst: &mut [T; 8]| {
-        let (p, m) = (&PREFIX_ONES[octet(plus, i)], &PREFIX_ONES[octet(minus, i)]);
-        let base = base + starts[i];
-        for ((d, &p), &m) in dst.iter_mut().zip(p).zip(m) {
-            *d = map(base + p - m);
-        }
-    };
+    out: &mut [M::Out],
+) -> i32 {
+    let rows = |i: usize| (&PREFIX_ONES[octet(plus, i)], &PREFIX_ONES[octet(minus, i)]);
     let (octets, rest) = out.as_chunks_mut::<8>();
-    for (i, dst) in octets.iter_mut().enumerate() {
-        fill(i, dst);
+    let last = octets.len();
+    let mut base = sum;
+    if FORWARD {
+        for (i, dst) in octets.iter_mut().enumerate() {
+            let (p, m) = rows(i);
+            map.octet(base, p, m, dst);
+            base += p[7] - m[7];
+        }
+        if !rest.is_empty() {
+            let (p, m) = rows(last);
+            map.part(base, p, m, rest);
+            base += p[7] - m[7];
+        }
+    } else {
+        if !rest.is_empty() {
+            let (p, m) = rows(last);
+            base -= p[7] - m[7];
+            map.part(base, p, m, rest);
+        }
+        for (i, dst) in octets.iter_mut().enumerate().rev() {
+            let (p, m) = rows(i);
+            base -= p[7] - m[7];
+            map.octet(base, p, m, dst);
+        }
     }
-    if !rest.is_empty() {
-        let mut last = [T::default(); 8];
-        fill(octets.len(), &mut last);
-        rest.copy_from_slice(&last[..rest.len()]);
+    base
+}
+
+/// How a walk turns pop-counts into output values.
+trait EpsilonMap: Copy {
+    /// The output value type.
+    type Out: Copy + Default;
+
+    /// The value of pop-count `sum`.
+    fn map(self, sum: i32) -> Self::Out;
+
+    /// `out[r] = map(base + plus[r] − minus[r])` for the eight lanes of one octet.
+    #[inline(always)]
+    fn octet(self, base: i32, plus: &[i32; 8], minus: &[i32; 8], out: &mut [Self::Out; 8]) {
+        for ((o, &p), &m) in out.iter_mut().zip(plus).zip(minus) {
+            *o = self.map(base + p - m);
+        }
+    }
+
+    /// [`EpsilonMap::octet`]'s first `out.len() < 8` lanes.
+    #[inline(always)]
+    fn part(self, base: i32, plus: &[i32; 8], minus: &[i32; 8], out: &mut [Self::Out]) {
+        let mut lanes = [Self::Out::default(); 8];
+        self.octet(base, plus, minus, &mut lanes);
+        out.copy_from_slice(&lanes[..out.len()]);
     }
 }
 
-/// The `f32` ε of pop-count `s` on the affine path: `(s − half)·scale`.
+/// The affine `f32` map `(s − half)·scale`, used where it reproduces every narrowed table
+/// entry ([`NarrowMap::Affine`]).
+#[derive(Debug, Clone, Copy)]
+struct Affine {
+    half: i32,
+    scale: f32,
+}
+
+impl EpsilonMap for Affine {
+    type Out = f32;
+
+    #[inline(always)]
+    fn map(self, sum: i32) -> f32 {
+        (sum - self.half) as f32 * self.scale
+    }
+}
+
+/// A pop-count → ε table (`f32` narrowed or `f64`).
+#[derive(Debug, Clone, Copy)]
+struct Table<'a, T>(&'a [T]);
+
+impl<T: Copy + Default> EpsilonMap for Table<'_, T> {
+    type Out = T;
+
+    #[inline(always)]
+    fn map(self, sum: i32) -> T {
+        self.0[sum as usize]
+    }
+}
+
+/// [`Affine`] with an AVX2 octet body. A value exists only once [`Avx2Affine::detect`] has
+/// seen AVX2 on this CPU.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+struct Avx2Affine(Affine);
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2Affine {
+    /// `map` with the AVX2 octet body, if this CPU has AVX2 (the standard library caches
+    /// the detection).
+    fn detect(map: Affine) -> Option<Self> {
+        std::arch::is_x86_feature_detected!("avx2").then_some(Self(map))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl EpsilonMap for Avx2Affine {
+    type Out = f32;
+
+    #[inline(always)]
+    fn map(self, sum: i32) -> f32 {
+        self.0.map(sum)
+    }
+
+    #[inline(always)]
+    fn octet(self, base: i32, plus: &[i32; 8], minus: &[i32; 8], out: &mut [f32; 8]) {
+        // SAFETY: an `Avx2Affine` exists only on a CPU with AVX2 (`detect`).
+        unsafe { affine_octet_avx2(base - self.0.half, self.0.scale, plus, minus, out) }
+    }
+}
+
+/// [`Avx2Affine`]'s octet: `out[r] = (offset + plus[r] − minus[r]) as f32 · scale` in eight
+/// lanes, with `offset = base − half`. The lane integers are [`Affine::map`]'s, which
+/// `cvtepi32_ps` converts exactly (they are at most the width), and `mul_ps` rounds as the
+/// scalar `f32` multiply does, so every bit is the portable octet's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
 #[inline]
-fn affine(s: i32, half: i32, scale: f32) -> f32 {
-    (s - half) as f32 * scale
+fn affine_octet_avx2(
+    offset: i32,
+    scale: f32,
+    plus: &[i32; 8],
+    minus: &[i32; 8],
+    out: &mut [f32; 8],
+) {
+    use std::arch::x86_64::*;
+    // SAFETY: `plus` and `minus` are `[i32; 8]`s, each exactly one unaligned 256-bit load.
+    let (p, m) = unsafe {
+        (_mm256_loadu_si256(plus.as_ptr().cast()), _mm256_loadu_si256(minus.as_ptr().cast()))
+    };
+    let sums = _mm256_add_epi32(_mm256_set1_epi32(offset), _mm256_sub_epi32(p, m));
+    let eps = _mm256_mul_ps(_mm256_cvtepi32_ps(sums), _mm256_set1_ps(scale));
+    // SAFETY: `out` is an `[f32; 8]`, exactly one unaligned 256-bit store.
+    unsafe { _mm256_storeu_ps(out.as_mut_ptr(), eps) };
 }
 
 /// The pop-count → ε maps of one register width, built together on first use.
@@ -573,7 +768,8 @@ struct EpsilonMaps {
 }
 
 enum NarrowMap {
-    /// [`affine`], used when it reproduces every narrowed table entry.
+    /// The [`Affine`] map `(s − half)·scale`, used when it reproduces every narrowed table
+    /// entry.
     Affine { half: i32, scale: f32 },
     /// The table narrowed once.
     Table(Box<[f32]>),
@@ -607,6 +803,78 @@ mod tests {
         }
         let maps = Grng::shift_bnn_default(1).unwrap().maps();
         assert!(matches!(maps.narrow, NarrowMap::Affine { half: 128, scale: 0.125 }));
+    }
+
+    #[test]
+    fn only_the_maximal_batch_registers_take_the_const_walk() {
+        // One instantiation per batch register, whatever the seed or constructor; narrow
+        // widths (a tap below 64) and other tap sets, even at 256 bits, step bit-serially.
+        let batch =
+            [(128, Geometry::Batch128), (192, Geometry::Batch192), (256, Geometry::Batch256)];
+        for (width, geometry) in batch {
+            assert_eq!(Grng::new(width, 1).unwrap().lfsr().geometry(), geometry, "width {width}");
+        }
+        assert_eq!(Grng::shift_bnn_default(1).unwrap().lfsr().geometry(), Geometry::Batch256);
+        for width in crate::taps::supported_widths() {
+            if ![128, 192, 256].contains(&width) {
+                let geometry = Grng::new(width, 1).unwrap().lfsr().geometry();
+                assert_eq!(geometry, Geometry::BitSerial, "width {width}");
+            }
+        }
+        let custom = Grng::from_lfsr(Lfsr::new(256, &[100, 256], &[1]).unwrap());
+        assert_eq!(custom.lfsr().geometry(), Geometry::BitSerial);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn portable_and_avx2_octets_write_the_bit_serial_stream() {
+        // The affine fills take the AVX2 octet body wherever the CPU has AVX2, so the
+        // portable body is run here directly, and both are checked on the same blocks
+        // against the bit-serial walk, forward from the seed and backward over the block.
+        let map = Affine { half: 128, scale: 0.125 };
+        for len in (1..=130).chain([162, 192, 864, 9216]) {
+            let mut serial = Grng::shift_bnn_default(0xACE1).unwrap();
+            let start = serial.clone();
+            let want: Vec<u32> =
+                (0..len).map(|_| (serial.next_epsilon() as f32).to_bits()).collect();
+            let mut out = vec![7.0f32; len];
+            let mut portable = start.clone();
+            portable.walk::<true, _>(&mut out, map);
+            assert_eq!(bits(&out), want, "len {len}: portable forward");
+            assert_eq!(portable, serial, "len {len}: portable forward state");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(avx2) = Avx2Affine::detect(map) {
+                let mut fast = start.clone();
+                out.fill(7.0);
+                // SAFETY: `detect` returns a map only when this CPU has AVX2.
+                unsafe { fast.walk_avx2::<true>(&mut out, avx2) };
+                assert_eq!(bits(&out), want, "len {len}: AVX2 forward");
+                assert_eq!(fast, serial, "len {len}: AVX2 forward state");
+            }
+
+            serial.set_mode(GrngMode::Backward);
+            let start = serial.clone();
+            let mut want: Vec<u32> =
+                (0..len).map(|_| (serial.retrieve_epsilon() as f32).to_bits()).collect();
+            want.reverse();
+            out.fill(7.0);
+            let mut portable = start.clone();
+            portable.walk::<false, _>(&mut out, map);
+            assert_eq!(bits(&out), want, "len {len}: portable backward");
+            assert_eq!(portable, serial, "len {len}: portable backward state");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(avx2) = Avx2Affine::detect(map) {
+                let mut fast = start.clone();
+                out.fill(7.0);
+                // SAFETY: `detect` returns a map only when this CPU has AVX2.
+                unsafe { fast.walk_avx2::<false>(&mut out, avx2) };
+                assert_eq!(bits(&out), want, "len {len}: AVX2 backward");
+                assert_eq!(fast, serial, "len {len}: AVX2 backward state");
+            }
+        }
     }
 
     #[test]

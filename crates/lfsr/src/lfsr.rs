@@ -9,6 +9,12 @@
 //! `A ⊕ B = C`, the bit dropped from the tail can be reconstructed from the current head and the
 //! shifted tap registers (Eq. 3 of the paper), so shifting the register *backwards* reproduces
 //! every earlier pattern without storing anything.
+//!
+//! Single steps work for every width and tap set. The GRNG's fills and skips move the three
+//! maximal-tap registers whose taps all sit at position ≥ 64 — 128, 192 and 256 bits — up to
+//! 64 steps at a time instead, through a `BatchRegister` compiled for each geometry: the
+//! register's words held in a local array, every tap position and shift a constant, a whole
+//! 64-step batch a word rotation. `Lfsr::geometry` picks the walk from the taps.
 
 use crate::error::LfsrError;
 use crate::taps::{maximal_taps, validate_taps};
@@ -79,34 +85,10 @@ pub struct Lfsr {
     state: Vec<u64>,
     /// Number of forward steps minus backward steps since construction.
     position: i64,
-    /// The backward batch's tail-solve schedule, derived from the taps at construction
-    /// (`rewind_rounds`).
-    rewind: [u64; REWIND_ROUNDS],
 }
 
 fn words_for(width: usize) -> usize {
     width.div_ceil(64)
-}
-
-/// Upper bound on the rounds of [`Lfsr::step_backward64`]'s tail solve: every non-tail tap
-/// offset is at least 1, and round `i` shifts by `offset·2^i`, so round 6 would shift by 64.
-const REWIND_ROUNDS: usize = 6;
-
-/// The shift schedule of [`Lfsr::step_backward64`]'s tail solve: bit `s` of round `i` is set
-/// when some non-tail tap `t` has `(n − t)·2^i = s < 64`, so round `i` multiplies the
-/// recovered word by the GF(2) polynomial `1 + Σ_s x^s`. Rounds past the last one with a
-/// shift below 64 are zero.
-fn rewind_rounds(width: usize, taps: &[usize]) -> [u64; REWIND_ROUNDS] {
-    let mut rounds = [0u64; REWIND_ROUNDS];
-    for (i, round) in rounds.iter_mut().enumerate() {
-        for &t in &taps[..taps.len() - 1] {
-            let shift = (width - t) << i;
-            if shift < 64 {
-                *round |= 1 << shift;
-            }
-        }
-    }
-    rounds
 }
 
 /// `word` shifted left by `1 ≤ k ≤ 64`, with the top `k` bits of `carry` shifted in below it.
@@ -152,8 +134,7 @@ impl Lfsr {
         }
         let mut taps = taps.to_vec();
         taps.sort_unstable();
-        let rewind = rewind_rounds(width, &taps);
-        Ok(Self { width, taps, state, position: 0, rewind })
+        Ok(Self { width, taps, state, position: 0 })
     }
 
     /// Creates an LFSR of the given width using the known maximal-length taps and a 64-bit seed.
@@ -271,110 +252,20 @@ impl Lfsr {
         dropped_head
     }
 
-    /// Whether this register supports the word-parallel batches of up to 64 steps
-    /// ([`Lfsr::step_forward64`], [`Lfsr::step_backward64`]): the width must be a whole number
-    /// of 64-bit words and every tap must sit at position ≥ 64, so that none of the 64
-    /// feedback bits of a forward batch depends on a bit produced *within* the batch. The
-    /// Shift-BNN default (width 256, taps `{246, 251, 254, 256}`) qualifies; narrow ablation
-    /// widths fall back to bit-serial stepping in both directions.
-    pub fn supports_batch64(&self) -> bool {
-        self.width >= 64 && self.width.is_multiple_of(64) && self.taps.iter().all(|&t| t >= 64)
-    }
-
-    /// Reads up to 64 consecutive registers starting at 0-based bit position `pos` as one
-    /// `u64`: bit `i` of the result is register `R_{pos+i+1}`, and bits past the tail read 0.
-    fn extract64(&self, pos: usize) -> u64 {
-        let (wi, sh) = (pos / 64, pos % 64);
-        match self.state.get(wi + 1) {
-            Some(&next) if sh != 0 => (self.state[wi] >> sh) | (next << (64 - sh)),
-            _ => self.state[wi] >> sh,
+    /// Which walk the register's ε fills and skips take, decided from its taps (the last
+    /// tap is the width). Registers whose taps are those of a [`Batch128`], [`Batch192`] or
+    /// [`Batch256`] step in batches of up to 64; every other register steps bit-serially.
+    pub(crate) fn geometry(&self) -> Geometry {
+        let taps = self.taps.as_slice();
+        if taps == Batch128::TAPS {
+            Geometry::Batch128
+        } else if taps == Batch192::TAPS {
+            Geometry::Batch192
+        } else if taps == Batch256::TAPS {
+            Geometry::Batch256
+        } else {
+            Geometry::BitSerial
         }
-    }
-
-    /// Advances the register by `k ≤ 64` forward steps in one word-parallel operation —
-    /// bit-identical to `k` calls of [`Lfsr::step_forward`], but costing a handful of word
-    /// XOR/shift operations instead of `k` full-register shifts.
-    ///
-    /// Because every tap position `t` satisfies `t ≥ 64`, feedback bit `f_j` of the batch
-    /// (`j < 64`) is `⊕_t b_{t−1−j}` over *pre-batch* register bits only, so all of them are
-    /// computed at once: `⊕_t extract64(t − 64)` holds `f_j` at bit `63 − j`. After `k` single
-    /// steps the register holds the old pattern moved up `k` places with `f_{k−1}, …, f_0`
-    /// below it — the top `k` bits of that word shifted in at the head.
-    ///
-    /// Returns `(entering, leaving)`: bit `63 − j` of `entering` is the feedback bit inserted
-    /// at step `j`, bit `63 − j` of `leaving` is the tail bit dropped at step `j`, and the low
-    /// `64 − k` bits of both are zero — the two streams a GRNG reads its pop-counts from.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts [`Lfsr::supports_batch64`] and `1 ≤ k ≤ 64`.
-    #[inline]
-    pub fn step_forward64(&mut self, k: usize) -> (u64, u64) {
-        debug_assert!(self.supports_batch64(), "step_forward64 requires word-aligned taps");
-        debug_assert!((1..=64).contains(&k), "a batch is 1 to 64 steps, not {k}");
-        let batch = u64::MAX << (64 - k);
-        let mut entering = 0u64;
-        for &t in &self.taps {
-            entering ^= self.extract64(t - 64);
-        }
-        let entering = entering & batch;
-        let leaving = self.extract64(self.width - 64) & batch;
-        let mut carry = entering;
-        for word in &mut self.state {
-            (*word, carry) = (shift_up(*word, carry, k), *word);
-        }
-        self.position += k as i64;
-        (entering, leaving)
-    }
-
-    /// Rewinds the register by `k ≤ 64` backward steps in a few word operations —
-    /// bit-identical to `k` calls of [`Lfsr::step_backward`].
-    ///
-    /// Write `y` for the pre-batch register bits `b_0..b_{n−1}` followed by the bits the
-    /// batch recovers into the tail, `W = y_n..y_{n+63}`. Eq. 3 gives bit `j` of `W` as
-    /// `y_j ⊕ ⊕_{t<n} y_{t+j}` over the non-tail taps `t`. Terms with `t + j < n` read
-    /// pre-batch bits; together they form `C`. The others are bits of `W` itself, recovered
-    /// earlier in the batch at offset `d = n − t` (2, 5 and 10 for taps `{246, 251, 254,
-    /// 256}`), so `W = C ⊕ ⊕_d (W ≪ d)`. Over GF(2) the shift-sum `A = Σ_d ≪d` is nilpotent
-    /// and `A^{2^i} = Σ_d ≪(d·2^i)`, so `W = Π_i (I ⊕ A^{2^i}) · C`: rounds of
-    /// `W ^= ⊕_d (W ≪ d·2^i)` until the smallest shift reaches 64, five for the default
-    /// register. The rounds' shifts depend only on the taps, so they are derived once, when
-    /// the register is built. Bit `j` of `W` depends only on its lower bits, so a batch of
-    /// `k` steps keeps `W`'s low `k` bits; the pattern moves down `k` places with them
-    /// shifted in at the tail.
-    ///
-    /// Returns `(entering, leaving)`: bit `j` of `entering` is the tail bit recovered at
-    /// step `j`, bit `j` of `leaving` is the head bit dropped at step `j`, and the high
-    /// `64 − k` bits of both are zero — the streams a GRNG reads its pop-counts from.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts [`Lfsr::supports_batch64`] and `1 ≤ k ≤ 64`.
-    #[inline]
-    pub fn step_backward64(&mut self, k: usize) -> (u64, u64) {
-        debug_assert!(self.supports_batch64(), "step_backward64 requires word-aligned taps");
-        debug_assert!((1..=64).contains(&k), "a batch is 1 to 64 steps, not {k}");
-        let batch = u64::MAX >> (64 - k);
-        let leaving = self.state[0] & batch;
-        let mut entering = self.state[0];
-        for &t in &self.taps[..self.taps.len() - 1] {
-            entering ^= self.extract64(t);
-        }
-        for &round in self.rewind.iter().take_while(|&&round| round != 0) {
-            let (mut next, mut shifts) = (entering, round);
-            while shifts != 0 {
-                next ^= entering << shifts.trailing_zeros();
-                shifts &= shifts - 1;
-            }
-            entering = next;
-        }
-        let entering = entering & batch;
-        let mut carry = entering;
-        for word in self.state.iter_mut().rev() {
-            (*word, carry) = (shift_down(*word, carry, k), *word);
-        }
-        self.position -= k as i64;
-        (entering, leaving)
     }
 
     /// Captures the register's complete state for later restoration (or serialization by the
@@ -432,7 +323,6 @@ impl Lfsr {
         taps.sort_unstable();
         Ok(Self {
             width: state.width,
-            rewind: rewind_rounds(state.width, &taps),
             taps,
             state: state.state_words.clone(),
             position: state.position,
@@ -525,6 +415,153 @@ impl Lfsr {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+/// The walk a register takes ([`Lfsr::geometry`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Geometry {
+    /// The 128-bit maximal-tap register.
+    Batch128,
+    /// The 192-bit maximal-tap register.
+    Batch192,
+    /// The 256-bit maximal-tap register, the Shift-BNN default.
+    Batch256,
+    /// Any other register: narrow widths, whose taps sit below 64, and custom tap sets.
+    BitSerial,
+}
+
+/// The 128-bit register, taps `{99, 101, 126, 128}`.
+pub(crate) type Batch128 = BatchRegister<2, 99, 101, 126>;
+/// The 192-bit register, taps `{177, 178, 190, 192}`.
+pub(crate) type Batch192 = BatchRegister<3, 177, 178, 190>;
+/// The 256-bit register, taps `{246, 251, 254, 256}`.
+pub(crate) type Batch256 = BatchRegister<4, 246, 251, 254>;
+
+/// Upper bound on the rounds of [`BatchRegister::backward`]'s tail solve: every non-tail tap
+/// offset is at least 1, and round `i` shifts by `offset·2^i`, so round 6 would shift by 64.
+const REWIND_ROUNDS: usize = 6;
+
+/// A register of one batch geometry, held in a local array for the length of one walk: `N`
+/// words, non-tail taps `A < B < C`, all at position ≥ 64, and the tail at `64·N`. Every tap
+/// position and shift is a constant of the instantiation, so nothing is looked up at run
+/// time, and a full 64-step batch is a word rotation.
+pub(crate) struct BatchRegister<const N: usize, const A: usize, const B: usize, const C: usize> {
+    words: [u64; N],
+}
+
+impl<const N: usize, const A: usize, const B: usize, const C: usize> BatchRegister<N, A, B, C> {
+    /// The register's taps, in [`Lfsr::taps`] order.
+    const TAPS: [usize; 4] = [A, B, C, 64 * N];
+
+    /// Copies `lfsr`'s words in. A walk writes them back once, with [`BatchRegister::store`].
+    #[inline(always)]
+    pub(crate) fn load(lfsr: &Lfsr) -> Self {
+        const { assert!(64 <= A && A < B && B < C && C < 64 * N) };
+        debug_assert_eq!(lfsr.taps, Self::TAPS, "a batch register needs its own taps");
+        Self { words: lfsr.state.as_slice().try_into().expect("the width is 64·N bits") }
+    }
+
+    /// Writes the words back into `lfsr` and moves its position by `steps`.
+    #[inline(always)]
+    pub(crate) fn store(&self, lfsr: &mut Lfsr, steps: i64) {
+        lfsr.state.copy_from_slice(&self.words);
+        lfsr.position += steps;
+    }
+
+    /// Registers `R_{pos+1}..R_{pos+64}` as one word (bit `i` is `R_{pos+i+1}`), zeros past
+    /// the tail. Every caller passes a constant `pos`, so this is two shifts and an OR at
+    /// most.
+    #[inline(always)]
+    fn extract(&self, pos: usize) -> u64 {
+        let (wi, sh) = (pos / 64, pos % 64);
+        match self.words.get(wi + 1) {
+            Some(&next) if sh != 0 => (self.words[wi] >> sh) | (next << (64 - sh)),
+            _ => self.words[wi] >> sh,
+        }
+    }
+
+    /// Advances the register by `1 ≤ k ≤ 64` forward steps — bit-identical to `k` calls of
+    /// [`Lfsr::step_forward`].
+    ///
+    /// Because every tap `t` sits at position ≥ 64, feedback bit `f_j` of the batch (`j <
+    /// 64`) is `⊕_t b_{t−1−j}` over *pre-batch* register bits only, so all of them are
+    /// computed at once: `⊕_t extract(t − 64)` holds `f_j` at bit `63 − j`. After `k` single
+    /// steps the register holds the old pattern moved up `k` places with `f_{k−1}, …, f_0`
+    /// below it — the top `k` bits of that word shifted in at the head. At `k = 64` every
+    /// shift folds away: the words become `[f, w_0, …, w_{N−2}]` and `w_{N−1}` leaves.
+    ///
+    /// Returns `(entering, leaving)`: bit `63 − j` of `entering` is the feedback bit inserted
+    /// at step `j`, bit `63 − j` of `leaving` is the tail bit dropped at step `j`, and the low
+    /// `64 − k` bits of both are zero.
+    #[inline(always)]
+    pub(crate) fn forward(&mut self, k: usize) -> (u64, u64) {
+        debug_assert!((1..=64).contains(&k), "a batch is 1 to 64 steps, not {k}");
+        let batch = u64::MAX << (64 - k);
+        let tail = self.words[N - 1];
+        let entering =
+            (self.extract(A - 64) ^ self.extract(B - 64) ^ self.extract(C - 64) ^ tail) & batch;
+        let mut carry = entering;
+        for word in &mut self.words {
+            (*word, carry) = (shift_up(*word, carry, k), *word);
+        }
+        (entering, tail & batch)
+    }
+
+    /// Rewinds the register by `1 ≤ k ≤ 64` backward steps — bit-identical to `k` calls of
+    /// [`Lfsr::step_backward`].
+    ///
+    /// Write `y` for the pre-batch register bits `b_0..b_{n−1}` followed by the bits the
+    /// batch recovers into the tail, `W = y_n..y_{n+63}`. Eq. 3 gives bit `j` of `W` as
+    /// `y_j ⊕ ⊕_{t<n} y_{t+j}` over the non-tail taps `t`. Terms with `t + j < n` read
+    /// pre-batch bits; together they form `P`. The others are bits of `W` itself, recovered
+    /// earlier in the batch at offset `d = n − t` (2, 5 and 10 for taps `{246, 251, 254,
+    /// 256}`), so `W = P ⊕ ⊕_d (W ≪ d)`. Over GF(2) the shift-sum `M = Σ_d ≪d` is nilpotent
+    /// and `M^{2^i} = Σ_d ≪(d·2^i)`, so `W = Π_i (I ⊕ M^{2^i}) · P`: rounds of
+    /// `W ^= ⊕_d (W ≪ d·2^i)` over the shifts below 64, five rounds for the default
+    /// register, each shift a constant. Bit `j` of `W` depends only on its lower bits, so a
+    /// batch of `k` steps keeps `W`'s low `k` bits; the pattern moves down `k` places with
+    /// them shifted in at the tail. At `k = 64` the words become `[w_1, …, w_{N−1}, W]` and
+    /// `w_0` leaves.
+    ///
+    /// Returns `(entering, leaving)`: bit `j` of `entering` is the tail bit recovered at
+    /// step `j`, bit `j` of `leaving` is the head bit dropped at step `j`, and the high
+    /// `64 − k` bits of both are zero.
+    #[inline(always)]
+    pub(crate) fn backward(&mut self, k: usize) -> (u64, u64) {
+        debug_assert!((1..=64).contains(&k), "a batch is 1 to 64 steps, not {k}");
+        let batch = u64::MAX >> (64 - k);
+        let head = self.words[0];
+        let mut entering = head ^ self.extract(A) ^ self.extract(B) ^ self.extract(C);
+        for round in 0..REWIND_ROUNDS {
+            let mut next = entering;
+            for offset in [64 * N - A, 64 * N - B, 64 * N - C] {
+                if offset << round < 64 {
+                    next ^= entering << (offset << round);
+                }
+            }
+            entering = next;
+        }
+        let entering = entering & batch;
+        let mut carry = entering;
+        for word in self.words.iter_mut().rev() {
+            (*word, carry) = (shift_down(*word, carry, k), *word);
+        }
+        (entering, head & batch)
+    }
+
+    /// Advances `lfsr` by `count` forward steps: whole words by rotation, then at most one
+    /// batch of fewer than 64 steps.
+    pub(crate) fn skip(lfsr: &mut Lfsr, count: usize) {
+        let (batches, rest) = (count / 64, count % 64);
+        let mut register = Self::load(lfsr);
+        for _ in 0..batches {
+            register.forward(64);
+        }
+        if rest != 0 {
+            register.forward(rest);
+        }
+        register.store(lfsr, count as i64);
     }
 }
 
@@ -716,6 +753,97 @@ mod tests {
         let mut bad = good.clone();
         bad.state_words[0] = 0;
         assert!(matches!(Lfsr::from_state(&bad), Err(LfsrError::ZeroSeed)));
+    }
+
+    /// Positions before the seed (negative) and after it, on and off 64-step alignment.
+    const OFFSETS: [i64; 9] = [-300, -64, -1, 0, 1, 63, 64, 65, 1000];
+
+    /// The maximal-length register of `width` moved `offset` single steps from its seed
+    /// (negative: backward).
+    fn lfsr_at(width: usize, offset: i64) -> Lfsr {
+        let mut lfsr = Lfsr::with_maximal_taps(width, 0xBEEF).unwrap();
+        if offset >= 0 {
+            lfsr.step_forward_by(offset as usize);
+        } else {
+            lfsr.step_backward_by(offset.unsigned_abs() as usize);
+        }
+        lfsr
+    }
+
+    /// Every `k`-step forward batch of one batch geometry, from every offset, against `k`
+    /// single steps: entering and leaving words, state and position.
+    fn forward_batches_match_single_steps<
+        const N: usize,
+        const A: usize,
+        const B: usize,
+        const C: usize,
+    >() {
+        let width = 64 * N;
+        for offset in OFFSETS {
+            let start = lfsr_at(width, offset);
+            assert_eq!(start.geometry(), Lfsr::with_maximal_taps(width, 1).unwrap().geometry());
+            for k in 1..=64usize {
+                let at = format!("width {width} @ {offset}, k {k}");
+                let (mut batched, mut serial) = (start.clone(), start.clone());
+                let mut register = BatchRegister::<N, A, B, C>::load(&batched);
+                let (entering, leaving) = register.forward(k);
+                register.store(&mut batched, k as i64);
+                let (mut want_entering, mut want_leaving) = (0u64, 0u64);
+                for j in 0..k {
+                    want_leaving |= u64::from(serial.step_forward()) << (63 - j);
+                    want_entering |= u64::from(serial.register(1)) << (63 - j);
+                }
+                assert_eq!(entering, want_entering, "{at}: feedback bits");
+                assert_eq!(leaving, want_leaving, "{at}: dropped tail bits");
+                assert_eq!(batched.state_words(), serial.state_words(), "{at}: state");
+                assert_eq!(batched.position(), serial.position(), "{at}");
+                assert_eq!(batched.position(), offset + k as i64, "{at}");
+            }
+        }
+    }
+
+    /// The backward mirror of [`forward_batches_match_single_steps`].
+    fn backward_batches_match_single_steps<
+        const N: usize,
+        const A: usize,
+        const B: usize,
+        const C: usize,
+    >() {
+        let width = 64 * N;
+        for offset in OFFSETS {
+            let start = lfsr_at(width, offset);
+            for k in 1..=64usize {
+                let at = format!("width {width} @ {offset}, k {k}");
+                let (mut batched, mut serial) = (start.clone(), start.clone());
+                let mut register = BatchRegister::<N, A, B, C>::load(&batched);
+                let (entering, leaving) = register.backward(k);
+                register.store(&mut batched, -(k as i64));
+                let (mut want_entering, mut want_leaving) = (0u64, 0u64);
+                for j in 0..k {
+                    want_leaving |= u64::from(serial.step_backward()) << j;
+                    want_entering |= u64::from(serial.register(width)) << j;
+                }
+                assert_eq!(entering, want_entering, "{at}: recovered tail bits");
+                assert_eq!(leaving, want_leaving, "{at}: dropped head bits");
+                assert_eq!(batched.state_words(), serial.state_words(), "{at}: state");
+                assert_eq!(batched.position(), serial.position(), "{at}");
+                assert_eq!(batched.position(), offset - k as i64, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_forward_equals_k_single_steps() {
+        forward_batches_match_single_steps::<2, 99, 101, 126>();
+        forward_batches_match_single_steps::<3, 177, 178, 190>();
+        forward_batches_match_single_steps::<4, 246, 251, 254>();
+    }
+
+    #[test]
+    fn batch_backward_equals_k_single_steps_from_any_position() {
+        backward_batches_match_single_steps::<2, 99, 101, 126>();
+        backward_batches_match_single_steps::<3, 177, 178, 190>();
+        backward_batches_match_single_steps::<4, 246, 251, 254>();
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Pins the word-parallel ε generation (`Grng::fill_epsilon` / `Grng::generate`, built on
-//! `Lfsr::step_forward64`) and retrieval (`Grng::fill_retrieved` / `Grng::retrieve`, built on
-//! `Lfsr::step_backward64`) against the bit-serial paths for **every** supported LFSR width —
-//! the same stream, the same register trajectory, and full reversibility afterwards — plus
-//! the `k`-step batches against `k` single steps and the pop-count → ε table the fills read
-//! against the formula it caches.
+//! Pins the word-parallel ε generation (`Grng::fill_epsilon` / `Grng::generate`), retrieval
+//! (`Grng::fill_retrieved` / `Grng::retrieve`) and fast-forward (`Grng::skip_forward`)
+//! against the bit-serial paths for **every** supported LFSR width and a custom-tap register
+//! — the same stream, the same register trajectory, and full reversibility afterwards —
+//! plus the pop-count → ε table the fills read against the formula it caches. (The batch
+//! steps themselves are pinned against single steps by `lfsr.rs`'s unit tests.)
 
 use bnn_lfsr::taps::supported_widths;
 use bnn_lfsr::{profile, Grng, GrngMode, Lfsr};
@@ -13,24 +13,22 @@ use bnn_lfsr::{profile, Grng, GrngMode, Lfsr};
 /// fewer than 64 steps, 34 and 32).
 const LENGTHS: &[usize] = &[162, 192, 257, 864, 9216];
 
-/// The widths whose registers take the word-parallel batches.
-const BATCH_WIDTHS: [usize; 3] = [128, 192, 256];
-
 /// Every block length from 1 to 130 (each batch size 1..=64 ends a block at least once),
 /// then [`LENGTHS`].
 fn lengths() -> impl Iterator<Item = usize> {
     (1..=130).chain(LENGTHS.iter().copied())
 }
 
-/// A register of `width` moved `offset` single steps from its seed (negative: backward).
-fn lfsr_at(width: usize, offset: i64) -> Lfsr {
-    let mut lfsr = Lfsr::with_maximal_taps(width, 0xBEEF).unwrap();
-    if offset >= 0 {
-        lfsr.step_forward_by(offset as usize);
-    } else {
-        lfsr.step_backward_by(offset.unsigned_abs() as usize);
-    }
-    lfsr
+/// Every register the fills must handle, seeded with `seed`: a maximal-length register of
+/// each supported width, and a 256-bit register with custom taps `{100, 256}` — the default
+/// register's width without its taps, which steps bit-serially.
+fn registers(seed: u64) -> Vec<(String, Grng)> {
+    let custom = Grng::from_lfsr(Lfsr::new(256, &[100, 256], &[seed]).unwrap());
+    supported_widths()
+        .into_iter()
+        .map(|width| (format!("width {width}"), Grng::new(width, seed).unwrap()))
+        .chain([("custom taps {100, 256}".to_string(), custom)])
+        .collect()
 }
 
 #[test]
@@ -54,9 +52,9 @@ fn epsilon_table_holds_the_formula_for_every_reachable_pop_count() {
 
 #[test]
 fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {
-    for width in supported_widths() {
+    for (name, start) in registers(0xACE1) {
         for len in lengths() {
-            let mut fast = Grng::new(width, 0xACE1).unwrap();
+            let mut fast = start.clone();
             let mut serial = fast.clone();
             let mut vec_path = fast.clone();
             let mut got = vec![0.0f32; len];
@@ -64,12 +62,12 @@ fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {
             let got_vec = vec_path.generate(len);
             for (i, (g, g_vec)) in got.iter().zip(&got_vec).enumerate() {
                 let want = serial.next_epsilon();
-                assert_eq!(g_vec.to_bits(), want.to_bits(), "width {width}, len {len}, [{i}]");
+                assert_eq!(g_vec.to_bits(), want.to_bits(), "{name}, len {len}, [{i}]");
                 let want = want as f32;
                 assert_eq!(
                     g.to_bits(),
                     want.to_bits(),
-                    "width {width}, len {len}, index {i}: {g} vs {want}"
+                    "{name}, len {len}, index {i}: {g} vs {want}"
                 );
             }
             // The register trajectory itself must agree, not just the emitted stream.
@@ -77,7 +75,7 @@ fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {
                 assert_eq!(
                     fast.lfsr().state_words(),
                     serial.lfsr().state_words(),
-                    "width {width}, len {len}: register state diverged"
+                    "{name}, len {len}: register state diverged"
                 );
                 assert_eq!(fast.lfsr().position(), serial.lfsr().position());
                 assert_eq!(fast.current_sum(), serial.current_sum());
@@ -88,82 +86,15 @@ fn fill_epsilon_matches_bit_serial_stream_for_all_supported_widths() {
 }
 
 #[test]
-fn default_shift_bnn_register_takes_the_word_parallel_path() {
-    // The whole point of the batching: the production 256-bit register qualifies.
-    let lfsr = Lfsr::shift_bnn_default(7).unwrap();
-    assert!(lfsr.supports_batch64());
-    // The 64-bit ablation width has a tap below 64 and must not (it would corrupt feedback).
-    let lfsr = Lfsr::with_maximal_taps(64, 7).unwrap();
-    assert!(!lfsr.supports_batch64());
-    // The batch tests below cover every batch-capable width of the tap table.
-    let capable: Vec<usize> = supported_widths()
-        .into_iter()
-        .filter(|&w| Lfsr::with_maximal_taps(w, 1).unwrap().supports_batch64())
-        .collect();
-    assert_eq!(capable, BATCH_WIDTHS);
-}
-
-/// Positions before the seed (negative) and after it, on and off 64-step alignment.
-const OFFSETS: [i64; 9] = [-300, -64, -1, 0, 1, 63, 64, 65, 1000];
-
-#[test]
-fn step_forward64_equals_k_single_steps() {
-    for width in BATCH_WIDTHS {
-        for offset in OFFSETS {
-            let start = lfsr_at(width, offset);
-            assert!(start.supports_batch64(), "width {width}");
-            for k in 1..=64usize {
-                let at = format!("width {width} @ {offset}, k {k}");
-                let (mut batched, mut serial) = (start.clone(), start.clone());
-                let (entering, leaving) = batched.step_forward64(k);
-                let (mut want_entering, mut want_leaving) = (0u64, 0u64);
-                for j in 0..k {
-                    want_leaving |= u64::from(serial.step_forward()) << (63 - j);
-                    want_entering |= u64::from(serial.register(1)) << (63 - j);
-                }
-                assert_eq!(entering, want_entering, "{at}: feedback bits");
-                assert_eq!(leaving, want_leaving, "{at}: dropped tail bits");
-                assert_eq!(batched.state_words(), serial.state_words(), "{at}: state");
-                assert_eq!(batched.position(), serial.position(), "{at}");
-                assert_eq!(batched.position(), offset + k as i64, "{at}");
-            }
-        }
-    }
-}
-
-#[test]
-fn step_backward64_equals_k_single_steps_from_any_position() {
-    for width in BATCH_WIDTHS {
-        for offset in OFFSETS {
-            let start = lfsr_at(width, offset);
-            assert!(start.supports_batch64(), "width {width}");
-            for k in 1..=64usize {
-                let at = format!("width {width} @ {offset}, k {k}");
-                let (mut batched, mut serial) = (start.clone(), start.clone());
-                let (entering, leaving) = batched.step_backward64(k);
-                let (mut want_entering, mut want_leaving) = (0u64, 0u64);
-                for j in 0..k {
-                    want_leaving |= u64::from(serial.step_backward()) << j;
-                    want_entering |= u64::from(serial.register(width)) << j;
-                }
-                assert_eq!(entering, want_entering, "{at}: recovered tail bits");
-                assert_eq!(leaving, want_leaving, "{at}: dropped head bits");
-                assert_eq!(batched.state_words(), serial.state_words(), "{at}: state");
-                assert_eq!(batched.position(), serial.position(), "{at}");
-                assert_eq!(batched.position(), offset - k as i64, "{at}");
-            }
-        }
-    }
-}
-
-#[test]
 fn fill_retrieved_and_retrieve_match_bit_serial_stream_for_all_supported_widths() {
-    for width in supported_widths() {
+    for (name, start) in registers(0xACE1) {
         for len in lengths() {
-            // Generate a little more than the block so the walk starts mid-stream, then
-            // retrieve the block three ways.
-            let mut serial = Grng::new(width, 0xACE1).unwrap();
-            serial.generate(len + 5);
+            // Generate 1000 values more than the block, then retrieve the block three ways,
+            // so the walk stops 1000 steps past the seed: from a one-word seed the first ~230
+            // feedback bits of a wide register are zero, and a rewind over them cannot show
+            // a wrong batch.
+            let mut serial = start.clone();
+            serial.generate(len + 1000);
             let (mut filled, mut vec_path) = (serial.clone(), serial.clone());
             for g in [&mut serial, &mut filled, &mut vec_path] {
                 g.set_mode(GrngMode::Backward);
@@ -173,16 +104,16 @@ fn fill_retrieved_and_retrieve_match_bit_serial_stream_for_all_supported_widths(
             filled.fill_retrieved(&mut got);
             let got_vec = vec_path.retrieve(len);
             for (i, w) in want.iter().enumerate() {
-                assert_eq!(got_vec[i].to_bits(), w.to_bits(), "width {width}, len {len}, [{i}]");
+                assert_eq!(got_vec[i].to_bits(), w.to_bits(), "{name}, len {len}, [{i}]");
                 // `fill_retrieved` writes in generation order, the reverse of retrieval.
                 let g = got[len - 1 - i];
-                assert_eq!(g.to_bits(), (*w as f32).to_bits(), "width {width}, len {len}, [{i}]");
+                assert_eq!(g.to_bits(), (*w as f32).to_bits(), "{name}, len {len}, [{i}]");
             }
             for fast in [&filled, &vec_path] {
                 assert_eq!(
                     fast.lfsr().state_words(),
                     serial.lfsr().state_words(),
-                    "width {width}, len {len}: register state diverged"
+                    "{name}, len {len}: register state diverged"
                 );
                 assert_eq!(fast.lfsr().position(), serial.lfsr().position());
                 assert_eq!(fast.current_sum(), serial.current_sum());
@@ -230,23 +161,20 @@ fn reseeding_reproduces_a_fresh_generator_without_reallocation() {
 
 #[test]
 fn skip_forward_lands_in_the_bit_serial_state() {
-    for width in supported_widths() {
+    for (name, start) in registers(0x1D) {
         for &n in &[0usize, 1, 63, 64, 65, 100, 130, 257] {
-            let mut skipped = Grng::new(width, 0x1D).unwrap();
-            let mut stepped = Grng::new(width, 0x1D).unwrap();
+            let mut skipped = start.clone();
+            let mut stepped = start.clone();
             // Skipped values are not emitted, so the thread's ε counter must not move, on
             // batch-capable widths and bit-serial ones alike.
             let emitted = profile::epsilon_values();
             skipped.skip_forward(n);
-            assert_eq!(profile::epsilon_values(), emitted, "width {width}, n {n}: counted");
+            assert_eq!(profile::epsilon_values(), emitted, "{name}, n {n}: counted");
             for _ in 0..n {
                 stepped.next_epsilon();
             }
-            assert_eq!(
-                skipped.lfsr().state_words(),
-                stepped.lfsr().state_words(),
-                "width {width}, n {n}"
-            );
+            assert_eq!(skipped.lfsr().state_words(), stepped.lfsr().state_words(), "{name}, n {n}");
+            assert_eq!(skipped.lfsr().position(), stepped.lfsr().position(), "{name}, n {n}");
             assert_eq!(skipped.current_sum(), stepped.current_sum());
             assert_eq!(skipped.outstanding(), stepped.outstanding());
         }

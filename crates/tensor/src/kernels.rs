@@ -953,14 +953,15 @@ pub fn conv2d_forward_into(
     let (h, w) = geom.input_hw(input.shape())?;
     let mut col = scratch.take_f32(geom.panel_len(h, w));
     pack_im2col(geom, input.data(), h, w, &mut col);
-    let result = conv2d_forward_packed(geom, &col, weights, bias, out, scratch);
+    let result = conv2d_forward_packed(geom, &col, weights, bias, out.data_mut(), scratch);
     scratch.put_f32(col);
     result
 }
 
 /// The forward GEMM over an im2col panel from [`pack_im2col`]: seeds every output scalar of
-/// `out` (`[M, OH, OW]`, any prior contents overwritten) with its channel bias and adds
-/// `weights · col`. A caller whose input repeats packs it once and calls this per kernel.
+/// `out` (the `[M, OH, OW]` values, row-major, any prior contents overwritten) with its
+/// channel bias and adds `weights · col`. A caller whose input repeats packs it once and
+/// calls this per kernel; `out` may be one sample's slice of a stacked output.
 ///
 /// # Errors
 ///
@@ -970,7 +971,7 @@ pub fn conv2d_forward_packed(
     col: &[f32],
     weights: &Tensor,
     bias: &Tensor,
-    out: &mut Tensor,
+    out: &mut [f32],
     scratch: &mut Scratch,
 ) -> Result<(), TensorError> {
     let (n, m, k) = (geom.in_channels, geom.out_channels, geom.kernel);
@@ -978,16 +979,15 @@ pub fn conv2d_forward_packed(
     expect_shape(bias, &[m])?;
     let kk = n * k * k;
     let cols = out.len() / m;
-    debug_assert_eq!(out.shape()[0], m);
+    debug_assert_eq!(out.len(), m * cols);
     debug_assert_eq!(col.len(), kk * cols);
 
     // Seed every output scalar with its channel bias — the reference loop starts `acc = b`.
-    let out_d = out.data_mut();
     for om in 0..m {
-        out_d[om * cols..(om + 1) * cols].fill(bias.data()[om]);
+        out[om * cols..(om + 1) * cols].fill(bias.data()[om]);
     }
     // Weights are already `[M, (ic, ky, kx)]` row-major: the GEMM A operand needs no packing.
-    gemm_accumulate_tiered(scratch.kernel(), out_d, weights.data(), col, m, kk, cols);
+    gemm_accumulate_tiered(scratch.kernel(), out, weights.data(), col, m, kk, cols);
     Ok(())
 }
 

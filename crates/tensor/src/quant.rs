@@ -68,10 +68,16 @@ impl Precision {
     /// Quantizes every element of a tensor in place — the zero-allocation variant of
     /// [`Precision::quantize_tensor`], bit-identical (a no-op for `Fp32`).
     pub fn quantize_tensor_inplace(&self, tensor: &mut Tensor) {
+        self.quantize_inplace(tensor.data_mut());
+    }
+
+    /// Quantizes every value of a slice in place, as [`Precision::quantize_tensor_inplace`]
+    /// does a tensor's (a no-op for `Fp32`).
+    pub fn quantize_inplace(&self, values: &mut [f32]) {
         match self {
             Precision::Fp32 => {}
             _ => {
-                for v in tensor.data_mut() {
+                for v in values {
                     *v = self.quantize(*v);
                 }
             }
