@@ -10,6 +10,10 @@
 //! binary with one test thread, after [`harness_warmup`], and passes only if that run reports
 //! the test `ok`.
 
+use bnn_serve::{
+    ArrivalProcess, BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, ServeMode, ServeReplica,
+    WorkloadSpec,
+};
 use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{MomentProbe, ServeProbe, TracedServeProbe, TrainingProbe};
 use std::process::Command;
@@ -108,6 +112,33 @@ fn steady_state_traced_request_allocates_nothing() {
         assert_eq!(deallocs, 0, "traced requests freed buffers instead of recycling them");
         assert_eq!(probe.events_recorded(), 5 * TracedServeProbe::EVENTS_PER_REQUEST);
         assert!(probe.last_entropy() >= 0.0);
+    });
+}
+
+#[test]
+fn warm_engine_run_builds_no_replica() {
+    alone("warm_engine_run_builds_no_replica", || {
+        // One 8-request run of the B-LeNet proxy at S = 16, batched as the wall-clock
+        // benchmark's serving workloads are.
+        let model = ModelSpec::lenet(7);
+        let trace = WorkloadSpec::uniform(8, 200, 16, 7)
+            .with_arrival(ArrivalProcess::Bursty { mean_burst: 8 })
+            .generate(&model);
+        let policy = BatchPolicy { max_batch: 8, max_wait_ticks: 64 };
+        for mode in [ServeMode::MonteCarlo, ServeMode::Moment] {
+            let spec = EngineSpec::new(model.clone()).mode(mode).policy(policy);
+            let engine = InferenceEngine::build(spec.clone());
+            let runs: Vec<u64> = (0..3)
+                .map(|_| measure(|| drop(std::hint::black_box(engine.run(&trace)))).0)
+                .collect();
+            let (build, _) = measure(|| drop(std::hint::black_box(ServeReplica::build(&spec))));
+            assert_eq!(runs[1], runs[2], "{mode:?}: warm runs allocated {runs:?}");
+            assert!(
+                runs[0] >= runs[1] + build,
+                "{mode:?}: runs allocated {runs:?}, so the second did not skip a replica build \
+                 ({build} allocations)"
+            );
+        }
     });
 }
 

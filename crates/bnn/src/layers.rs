@@ -38,7 +38,11 @@ use rand::Rng;
 ///
 /// Inputs and upstream gradients are consumed by value; every intermediate buffer comes from
 /// (and returns to) the caller's [`Scratch`] arena.
-pub trait Layer {
+///
+/// Layers are `Send`, so a whole [`Network`](crate::network::Network) can move between
+/// threads: a serving engine keeps its warm replicas across runs and hands each to whichever
+/// pool worker the next run starts.
+pub trait Layer: Send {
     /// Forward pass for sample `s`, consuming the input activation.
     ///
     /// # Errors

@@ -510,6 +510,12 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn network_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Network>();
+    }
+
+    #[test]
     fn mlp_builder_wires_expected_layers_and_counts() {
         let mut rng = StdRng::seed_from_u64(1);
         let net = Network::bayes_mlp(10, &[8, 6], 3, BayesConfig::default(), &mut rng);

@@ -59,7 +59,9 @@ where
 /// determinism tests (sweep and serving) exist to catch violations.
 ///
 /// The state type `S` needs neither `Send` nor `Sync`: each state is created, used and dropped
-/// entirely on one worker thread.
+/// entirely on one worker thread. It is dropped after its worker's last job, so its `Drop`
+/// can hand what it holds back to the caller — how the serving engine keeps its replicas warm
+/// from one run to the next.
 ///
 /// # Panics
 ///

@@ -35,8 +35,9 @@
 //! Internally a run has two phases. Phase A (the *plan*) walks arrivals in trace order
 //! through the per-shard schedules and makes every decision; it never touches a network, so
 //! it scales to million-request traces ([`Cluster::plan_with_faults`] exposes it directly).
-//! Phase B answers each shard's schedule exactly as phase A left it, on the shard's engine
-//! pool. It re-times nothing, so the report's timing and its answers come from one clock.
+//! Phase B answers each shard's schedule exactly as phase A left it, on one engine that serves
+//! the shards in turn, so each shard draws the warm replicas the previous one left. It
+//! re-times nothing, so the report's timing and its answers come from one clock.
 
 use crate::batcher::{BatchPolicy, BatchSchedule};
 use crate::builder::EngineSpec;
@@ -900,9 +901,10 @@ impl Cluster {
         }
         let routing = self.route(trace, &grouped, faults, &timeline, rec);
 
-        // Phase B: each routable shard's engine answers the shard's schedule as planned. A
-        // request is answered at the tick and sample count the schedule admitted it at (a
-        // retried request's failover history lives in phase A).
+        // Phase B: one engine answers each routable shard's schedule in turn, as planned, each
+        // shard on the warm replicas the previous one left. A request is answered at the tick
+        // and sample count the schedule admitted it at (a retried request's failover history
+        // lives in phase A).
         let engine = InferenceEngine::build(
             EngineSpec::new(self.config.source.clone())
                 .mode(self.config.mode)

@@ -13,13 +13,17 @@
 //!   committed regression baselines.
 //!
 //! Execution itself fans the requests out over [`shift_bnn::pool::run_indexed_with`]: each
-//! worker materializes one frozen-posterior replica per model version it serves
-//! ([`ModelSource::build`] — seed-rebuilt or checkpoint-loaded) and answers whatever requests
-//! it steals. A response depends only on the request (input, `S`, seed) and the frozen
-//! posterior of the version that answered it — never on the worker, the batch it rode in, or
-//! the completion order — so 1-worker and N-worker runs, and batch-size-1 and coalesced runs,
-//! produce byte-identical responses. `tests/serve_determinism.rs` pins those equalities and
-//! `tests/hot_swap.rs` extends them across scheduled version swaps
+//! worker holds one frozen-posterior replica per model version it serves and answers whatever
+//! requests it steals. The engine keeps its own version's replicas **warm across runs**, as
+//! the accelerator keeps a posterior in its on-chip buffers and only re-seeds its GRNGs per
+//! sample: a worker takes a replica the previous run left before building one
+//! ([`ModelSource::build`] — seed-rebuilt or checkpoint-loaded), and hands it back after its
+//! last job. A swap version's replica lives for its run only. A response depends only on the
+//! request (input, `S`, seed) and the frozen posterior of the version that answered it —
+//! never on the worker, the batch it rode in, the completion order, or whether the replica
+//! was warm — so 1-worker and N-worker runs, batch-size-1 and coalesced runs, and first and
+//! later runs produce byte-identical responses. `tests/serve_determinism.rs` pins those
+//! equalities and `tests/hot_swap.rs` extends them across scheduled version swaps
 //! ([`InferenceEngine::run_traced`]): versions change only at deterministic tick boundaries,
 //! old versions drain, and no request is ever dropped.
 
@@ -28,12 +32,13 @@ use crate::builder::EngineSpec;
 use crate::request::{mix_seed, InferRequest, InferResponse};
 use crate::spec::{ModelSource, ServeMode};
 use bnn_obs::{Event, NullRecorder, Recorder};
-use bnn_tensor::{KernelConfig, Tensor};
+use bnn_tensor::Tensor;
 use bnn_train::moment::MomentNetwork;
 use bnn_train::network::Predictive;
 use bnn_train::{EpsilonSource, LfsrForward, Network};
 use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Timing of one executed batch in the simulated tick domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,15 +176,25 @@ impl ServeRunReport {
 /// to newer posterior versions — see [`InferenceEngine::run_traced`]), serving under either
 /// backend of the [`ServeMode`] axis: `S`-sample Monte-Carlo or single-pass analytic moment
 /// propagation.
-#[derive(Debug, Clone)]
+///
+/// The engine keeps up to `workers` replicas of its own posterior warm between runs; building
+/// it builds none.
 pub struct InferenceEngine {
-    source: ModelSource,
-    mode: ServeMode,
-    policy: BatchPolicy,
-    workers: usize,
-    kernel: KernelConfig,
-    fused_sampling: bool,
+    spec: EngineSpec,
+    /// ε values one Monte-Carlo sample draws, counted once from the spec's source.
     epsilon_per_sample: usize,
+    /// Version-0 replicas the previous runs' workers handed back, without their ε sources.
+    warm: Mutex<Vec<WarmReplica>>,
+}
+
+impl std::fmt::Debug for InferenceEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InferenceEngine")
+            .field("spec", &self.spec)
+            .field("epsilon_per_sample", &self.epsilon_per_sample)
+            .field("warm_replicas", &self.warm_replicas().len())
+            .finish()
+    }
 }
 
 impl InferenceEngine {
@@ -194,35 +209,27 @@ impl InferenceEngine {
         // The source's ε-per-sample count drives the tick cost model (as the weight count in
         // moment mode — both backends stream the same weight volume).
         let epsilon_per_sample = spec.source.epsilon_count();
-        InferenceEngine {
-            source: spec.source,
-            mode: spec.mode,
-            policy: spec.policy,
-            workers: spec.workers,
-            kernel: spec.kernel,
-            fused_sampling: spec.fused_sampling,
-            epsilon_per_sample,
-        }
+        InferenceEngine { spec, epsilon_per_sample, warm: Mutex::new(Vec::new()) }
     }
 
     /// The served model's source (version 0; swaps are per-run, not engine state).
     pub fn source(&self) -> &ModelSource {
-        &self.source
+        &self.spec.source
     }
 
     /// The engine's serving backend.
     pub fn mode(&self) -> ServeMode {
-        self.mode
+        self.spec.mode
     }
 
     /// The engine's batching policy.
     pub fn policy(&self) -> BatchPolicy {
-        self.policy
+        self.spec.policy
     }
 
     /// The engine's worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.spec.workers
     }
 
     /// ε values one Monte-Carlo sample draws (one per Bayesian weight).
@@ -234,13 +241,13 @@ impl InferenceEngine {
     /// plus the GRNG-bound ε generation time of its `S` sampled forward passes (Monte-Carlo),
     /// or the two weight-wide moment passes (analytic).
     pub fn service_cost_ticks(&self, samples: usize) -> u64 {
-        service_cost(self.mode, self.epsilon_per_sample, samples)
+        service_cost(self.spec.mode, self.epsilon_per_sample, samples)
     }
 
     /// Serves a request trace: batches it, times the batches on the simulated device, and
-    /// executes every request on the pool (one posterior replica per worker). A request
-    /// with `samples == 0` is answered by one analytic moment pass, priced at moment cost,
-    /// in either mode.
+    /// executes every request on the pool (one posterior replica per worker, warm from an
+    /// earlier run where one is left). A request with `samples == 0` is answered by one
+    /// analytic moment pass, priced at moment cost, in either mode.
     ///
     /// # Panics
     ///
@@ -255,8 +262,11 @@ impl InferenceEngine {
     /// A batch is answered by the newest version whose `at_tick` is at or before the batch's
     /// service start; earlier batches drain on the prior version. No request is dropped at a
     /// swap, and the boundary is a deterministic function of (trace, policy, swap schedule),
-    /// never of worker count or wall clock. Every worker materializes a private replica of
-    /// each version it actually serves (lazily, at most once per version per worker).
+    /// never of worker count or wall clock. Every worker holds a private replica of each
+    /// version it actually serves: the engine's own version comes warm from an earlier run
+    /// where one is left and is built lazily otherwise, and goes back to the engine after
+    /// the worker's last job; a swap version's replica is built lazily, at most once per
+    /// worker, and dropped with the run.
     ///
     /// Each batch's close, dispatch and completion are recorded as tick-stamped [`Event`]s
     /// keyed by the member requests' ids, plus one [`Event::BatchSeal`] per batch for
@@ -273,8 +283,9 @@ impl InferenceEngine {
         swaps: &[VersionSwap],
         rec: &mut R,
     ) -> ServeRunReport {
+        let spec = &self.spec;
         let mut schedule =
-            BatchSchedule::new(self.policy, self.mode, self.epsilon_per_sample, swaps, &[]);
+            BatchSchedule::new(spec.policy, spec.mode, self.epsilon_per_sample, swaps, &[]);
         let mut previous_arrival = 0;
         for (i, request) in requests.iter().enumerate() {
             assert!(
@@ -330,28 +341,24 @@ impl InferenceEngine {
             }
         }
 
-        // Execution: requests fan out over the pool; each worker materializes one replica
-        // per version it serves (built once, lazily) and results merge by request index
-        // (completion order cannot leak into the report). Materializing the owned
-        // per-request responses necessarily allocates their vectors; the zero-allocation
-        // contract covers the compute path (`answer_into`) itself.
+        // Execution: requests fan out over the pool; each worker holds one replica per
+        // version it serves (version 0 warm if the engine kept one, any other built once,
+        // lazily) and results merge by request index (completion order cannot leak into the
+        // report). Materializing the owned per-request responses necessarily allocates their
+        // vectors; the zero-allocation contract covers the compute path (`answer_into`).
         // Version table: index 0 is the engine's own source, i ≥ 1 the (i−1)-th swap.
         let sources: Vec<&ModelSource> =
-            std::iter::once(&self.source).chain(swaps.iter().map(|s| &s.source)).collect();
+            std::iter::once(&self.spec.source).chain(swaps.iter().map(|s| &s.source)).collect();
         let sources = &sources;
         let version_of = &version_of;
-        let mode = self.mode;
-        let kernel = self.kernel;
-        let fused = self.fused_sampling;
         let responses = pool::run_indexed_with(
             admissions.len(),
-            self.workers,
-            |_worker| -> Vec<Option<ServeReplica>> { (0..sources.len()).map(|_| None).collect() },
-            |replicas, j| {
+            self.spec.workers,
+            |_worker| WorkerReplicas::new(self, sources.len()),
+            |worker, j| {
                 let version = version_of[j];
-                let replica = replicas[version].get_or_insert_with(|| {
-                    ServeReplica::with_options(sources[version], mode, kernel, fused)
-                });
+                let replica = worker.replicas[version]
+                    .get_or_insert_with(|| ServeReplica::of(sources[version], &self.spec));
                 let mut response = InferResponse {
                     id: 0,
                     samples: 0,
@@ -366,13 +373,60 @@ impl InferenceEngine {
         );
 
         ServeRunReport {
-            model: self.source.name(),
-            policy: self.policy,
-            workers: self.workers,
+            model: self.spec.source.name(),
+            policy: self.spec.policy,
+            workers: self.spec.workers,
             responses,
             latencies,
             makespan_ticks: schedule.makespan(),
             batches: schedule.into_batches(),
+        }
+    }
+
+    /// The warm replica cache. Its critical sections only push and pop, so a poisoned lock
+    /// still holds whole replicas.
+    fn warm_replicas(&self) -> MutexGuard<'_, Vec<WarmReplica>> {
+        self.warm.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What an engine keeps of a version-0 replica between runs: the backend and the predictive
+/// buffer, both `Send`. The ε sources are built again for each run, since an
+/// [`EpsilonSource`] need not be `Send`; every request reseeds them anyway.
+type WarmReplica = (ReplicaBackend, Predictive);
+
+/// One pool worker's replicas for one run, by version. Built on the worker's thread, it takes
+/// a warm version-0 replica from the engine if one is left; dropped after the worker's last
+/// job, it hands the version-0 replica back, keeping at most `workers` warm.
+struct WorkerReplicas<'e> {
+    engine: &'e InferenceEngine,
+    replicas: Vec<Option<ServeReplica>>,
+}
+
+impl<'e> WorkerReplicas<'e> {
+    fn new(engine: &'e InferenceEngine, versions: usize) -> WorkerReplicas<'e> {
+        let mut replicas: Vec<Option<ServeReplica>> = (0..versions).map(|_| None).collect();
+        replicas[0] = engine.warm_replicas().pop().map(|(backend, predictive)| ServeReplica {
+            backend,
+            predictive,
+            sources: Vec::new(),
+            fused_sampling: engine.spec.fused_sampling,
+        });
+        WorkerReplicas { engine, replicas }
+    }
+}
+
+impl Drop for WorkerReplicas<'_> {
+    fn drop(&mut self) {
+        // A job that panicked may have left its replica half-written: keep none of them.
+        if std::thread::panicking() {
+            return;
+        }
+        if let Some(replica) = self.replicas[0].take() {
+            let mut warm = self.engine.warm_replicas();
+            if warm.len() < self.engine.spec.workers {
+                warm.push((replica.backend, replica.predictive));
+            }
         }
     }
 }
@@ -400,16 +454,12 @@ impl Admission {
 }
 
 /// One worker's serving backend state, per [`ServeMode`]: a sampled-forward network replica
-/// with its reusable ε sources, or a compiled analytic moment network (which needs none).
+/// (answering with the [`ServeReplica`]'s ε sources), or a compiled analytic moment network
+/// (which needs none).
 enum ReplicaBackend {
-    /// `S` sampled forward passes per request; sources are *reseeded* per request instead of
-    /// rebuilt, mirroring how the accelerator's GRNGs are re-loaded rather than
-    /// re-fabricated.
+    /// `S` sampled forward passes per request.
     MonteCarlo {
         network: Network,
-        /// One forward-only source per Monte-Carlo sample, grown to the largest `S` seen and
-        /// reseeded in place for every request.
-        sources: Vec<Box<dyn EpsilonSource>>,
         /// The analytic twin of `network`, compiled lazily the first time a
         /// graceful-degradation request (`samples == 0`) reaches this replica. Deterministic
         /// in the posterior, so laziness cannot leak into response bytes.
@@ -419,11 +469,16 @@ enum ReplicaBackend {
     Moment { network: MomentNetwork },
 }
 
-/// One worker's serving state: a frozen-posterior backend replica plus the reusable
-/// predictive buffer that lets the steady-state request path run without heap allocation.
+/// One worker's serving state: a frozen-posterior backend replica, the reusable predictive
+/// buffer that lets the steady-state request path run without heap allocation, and the ε
+/// sources.
 pub struct ServeReplica {
     backend: ReplicaBackend,
     predictive: Predictive,
+    /// One forward-only source per Monte-Carlo sample, grown to the largest `S` seen and
+    /// *reseeded* for every request instead of rebuilt, mirroring how the accelerator's GRNGs
+    /// are re-loaded rather than re-fabricated.
+    sources: Vec<Box<dyn EpsilonSource>>,
     /// Whether Monte-Carlo requests run fused ([`Network::predictive_fused_into`]) — a pure
     /// speed switch, bit-identical either way (ignored by the moment backend).
     fused_sampling: bool,
@@ -433,10 +488,10 @@ impl std::fmt::Debug for ServeReplica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = f.debug_struct("ServeReplica");
         match &self.backend {
-            ReplicaBackend::MonteCarlo { network, sources, moment } => s
+            ReplicaBackend::MonteCarlo { network, moment } => s
                 .field("mode", &"mc")
                 .field("network", network)
-                .field("sources", &sources.len())
+                .field("sources", &self.sources.len())
                 .field("moment_compiled", &moment.is_some()),
             ReplicaBackend::Moment { network } => {
                 s.field("mode", &"moment").field("network", network)
@@ -450,24 +505,19 @@ impl ServeReplica {
     /// Builds a replica from a declarative [`EngineSpec`], the one construction surface; the
     /// spec's policy/worker fields are engine-level and ignored here.
     pub fn build(spec: &EngineSpec) -> ServeReplica {
-        ServeReplica::with_options(&spec.source, spec.mode, spec.kernel, spec.fused_sampling)
+        ServeReplica::of(&spec.source, spec)
     }
 
-    /// The full-option constructor [`ServeReplica::build`] and the engine's per-version
-    /// replicas funnel into: posterior source, backend, kernel configuration for the
-    /// replica's layer stack, and the fused-sampling switch. Deterministic in `(source,
-    /// mode)` alone — `kernel` (bit-exact tiers) and `fused` change speed, never bytes.
-    pub(crate) fn with_options(
-        source: &ModelSource,
-        mode: ServeMode,
-        kernel: KernelConfig,
-        fused_sampling: bool,
-    ) -> ServeReplica {
-        let backend = match mode {
+    /// A replica of `source` under `spec`'s backend, kernel configuration and fused-sampling
+    /// switch: how [`ServeReplica::build`] and the engine's per-version replicas are built.
+    /// Deterministic in `(source, mode)` alone — the kernel (bit-exact tiers) and fused
+    /// sampling change speed, never bytes.
+    pub(crate) fn of(source: &ModelSource, spec: &EngineSpec) -> ServeReplica {
+        let backend = match spec.mode {
             ServeMode::MonteCarlo => {
                 let mut network = source.build();
-                network.set_kernel(kernel);
-                ReplicaBackend::MonteCarlo { network, sources: Vec::new(), moment: None }
+                network.set_kernel(spec.kernel);
+                ReplicaBackend::MonteCarlo { network, moment: None }
             }
             ServeMode::Moment => ReplicaBackend::Moment { network: source.build_moment() },
         };
@@ -479,7 +529,8 @@ impl ServeReplica {
                 entropy: 0.0,
                 samples: 0,
             },
-            fused_sampling,
+            sources: Vec::new(),
+            fused_sampling: spec.fused_sampling,
         }
     }
 
@@ -520,7 +571,7 @@ impl ServeReplica {
         response: &mut InferResponse,
     ) {
         match &mut self.backend {
-            ReplicaBackend::MonteCarlo { network, sources, moment } => {
+            ReplicaBackend::MonteCarlo { network, moment } => {
                 if samples == 0 {
                     let moment = moment.get_or_insert_with(|| {
                         MomentNetwork::from_network(network)
@@ -532,13 +583,13 @@ impl ServeReplica {
                     finish_response(&self.predictive, request, response);
                     return;
                 }
-                while sources.len() < samples {
-                    sources.push(Box::new(
+                while self.sources.len() < samples {
+                    self.sources.push(Box::new(
                         LfsrForward::new(0)
                             .expect("Shift-BNN default GRNG construction cannot fail"),
                     ));
                 }
-                let sources = &mut sources[..samples];
+                let sources = &mut self.sources[..samples];
                 for (s, source) in sources.iter_mut().enumerate() {
                     source.reseed(mix_seed(request.seed, s as u64));
                 }
@@ -752,6 +803,12 @@ mod tests {
         // Serialization must not trip the percentile assert on an empty run.
         let json = report.to_json().to_compact();
         assert!(json.contains("\"p50\":null"));
+    }
+
+    #[test]
+    fn engine_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<InferenceEngine>();
     }
 
     #[test]

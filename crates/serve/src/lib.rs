@@ -18,8 +18,9 @@
 //!   composition — and therefore every latency statistic — is reproducible bit-for-bit.
 //! * [`engine`] executes requests on the workspace's work-stealing pool
 //!   ([`shift_bnn::pool`]), one frozen-posterior replica per worker
-//!   ([`shift_bnn::pool::run_indexed_with`]); responses merge by request index, so a 1-worker
-//!   engine and an N-worker engine produce **byte-identical** [`InferResponse`]s (enforced by
+//!   ([`shift_bnn::pool::run_indexed_with`]), which the engine keeps warm from one run to the
+//!   next; responses merge by request index, so a 1-worker engine and an N-worker engine, a
+//!   first run and a later one, produce **byte-identical** [`InferResponse`]s (enforced by
 //!   `tests/serve_determinism.rs` and at runtime by the `serve_bench` binary).
 //! * [`workload`] generates seeded synthetic open-loop request traces, the serving analogue
 //!   of the training side's synthetic datasets — uniform, bursty, diurnal or adversarial

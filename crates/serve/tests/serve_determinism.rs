@@ -5,12 +5,17 @@
 //!    **byte-identical** `InferResponse`s (work stealing must not leak into results);
 //! 2. the same trace served unbatched (batch-size-1) and coalesced produces byte-identical
 //!    responses (batch composition must not leak into results — only into latency);
-//! 3. repeated runs reproduce bit-for-bit (no hidden global state).
+//! 3. repeated runs reproduce bit-for-bit (no hidden global state), and an engine whose
+//!    replicas are warm from earlier runs answers as a freshly built one does.
 //!
 //! Together these are what make the batcher's tick-domain latency numbers trustworthy: the
 //! *answers* are invariant, so policies and worker counts can be compared on timing alone.
 
-use bnn_serve::{BatchPolicy, EngineSpec, InferenceEngine, ModelSpec, WorkloadSpec};
+use bnn_obs::NullRecorder;
+use bnn_serve::{
+    BatchPolicy, EngineSpec, InferRequest, InferenceEngine, ModelSource, ModelSpec, ServeMode,
+    VersionSwap, WorkloadSpec,
+};
 
 fn trace(spec: &ModelSpec, requests: usize, samples: usize) -> Vec<bnn_serve::InferRequest> {
     WorkloadSpec::uniform(requests, 3, samples, 2021).generate(spec)
@@ -98,4 +103,53 @@ fn responses_depend_on_request_seeds_not_positions() {
         "a different ε seed must sample a different ensemble"
     );
     assert_eq!(baseline.responses[1..], reseeded.responses[1..]);
+}
+
+#[test]
+fn a_warm_engine_answers_as_a_fresh_one_does() {
+    let spec = ModelSpec::mlp(13);
+    let seeded = |samples, seed| WorkloadSpec::uniform(16, 3, samples, seed).generate(&spec);
+    let first = seeded(3, 1);
+    // Every third request asks for the analytic answer, which a Monte-Carlo replica gives
+    // from the moment twin it compiles on first use.
+    let mut degraded = seeded(3, 3);
+    for request in degraded.iter_mut().step_by(3) {
+        request.samples = 0;
+    }
+    let swap = VersionSwap { at_tick: 100, source: ModelSource::Spec(ModelSpec::mlp(14)) };
+    // The runs one engine serves in turn: two traces, the degraded trace, a larger and then a
+    // smaller S, a swap to another posterior mid-trace, and the first trace again.
+    let runs: [(Vec<InferRequest>, Vec<VersionSwap>); 7] = [
+        (first.clone(), vec![]),
+        (seeded(3, 2), vec![]),
+        (degraded, vec![]),
+        (seeded(6, 4), vec![]),
+        (seeded(2, 5), vec![]),
+        (first.clone(), vec![swap]),
+        (first, vec![]),
+    ];
+    let policy = BatchPolicy { max_batch: 4, max_wait_ticks: 8 };
+    for mode in [ServeMode::MonteCarlo, ServeMode::Moment] {
+        for workers in [1, 3] {
+            let build = || {
+                InferenceEngine::build(
+                    EngineSpec::new(spec.clone()).mode(mode).policy(policy).workers(workers),
+                )
+            };
+            let warm = build();
+            for (k, (requests, swaps)) in runs.iter().enumerate() {
+                let got = warm.run_traced(requests, swaps, &mut NullRecorder);
+                let fresh = build().run_traced(requests, swaps, &mut NullRecorder);
+                assert_eq!(
+                    got.to_json().to_compact(),
+                    fresh.to_json().to_compact(),
+                    "{mode:?} at {workers} workers: run {k} differs from a fresh engine's"
+                );
+                if !swaps.is_empty() {
+                    let versions: Vec<usize> = got.batches.iter().map(|b| b.version).collect();
+                    assert!(versions.contains(&0) && versions.contains(&1), "{versions:?}");
+                }
+            }
+        }
+    }
 }
