@@ -19,7 +19,10 @@
 //!    one-pass training kernels against the stored-sample composition they replaced, at
 //!    64×144 and 48×64 over 8 samples (scores and gradients asserted bit-identical) — the
 //!    ungated `training_passes` ratio;
-//! 5. the steady-state allocation counts of a full training iteration, a served request and
+//! 5. the σ refill's dispatched σ and ln passes against the libm passes that define their
+//!    values, at the B-MLP and B-LeNet proxies' 4,736 and 10,434 weights (e, σ and ln σ
+//!    asserted bit-identical) — the ungated `sigma_refill` ratio;
+//! 6. the steady-state allocation counts of a full training iteration, a served request and
 //!    a *traced* served request (serving plus recorder writes), measured **at the
 //!    allocator** via the binary's counting `#[global_allocator]` — all must be zero after
 //!    warmup, and the run fails otherwise.
@@ -37,9 +40,9 @@ use shift_bnn_bench::alloc::CountingAlloc;
 use shift_bnn_bench::hot::{
     full_json, geometric_mean, run_data_pass_benches, run_epsilon_bench, run_fused_serve_bench,
     run_fused_training_bench, run_kernel_benches, run_linear_benches, run_obs_overhead_bench,
-    run_tail_benches, run_tier_benches, run_training_pass_benches, summary_json, DataPassBench,
-    EpsilonBench, KernelBench, LinearBench, ServeProbe, TierBench, TracedServeProbe,
-    TrainingPassBench, TrainingProbe,
+    run_sigma_refill_benches, run_tail_benches, run_tier_benches, run_training_pass_benches,
+    summary_json, DataPassBench, EpsilonBench, KernelBench, LinearBench, RefillBench, ServeProbe,
+    TierBench, TracedServeProbe, TrainingPassBench, TrainingProbe,
 };
 use shift_bnn_bench::print_table;
 
@@ -123,6 +126,7 @@ fn main() {
     let fused = run_fused_serve_bench(args.reps, 16);
     let fused_training = run_fused_training_bench(args.reps, 8);
     let passes = run_training_pass_benches(args.reps, 8);
+    let refills = run_sigma_refill_benches(args.reps);
     let obs = run_obs_overhead_bench(args.reps, 48);
     let epsilon = run_epsilon_bench(args.reps, 16 * 1024);
 
@@ -237,6 +241,24 @@ fn main() {
         &rows,
     );
 
+    let rows: Vec<Vec<String>> = refills
+        .iter()
+        .map(|r: &RefillBench| {
+            vec![
+                r.name.to_string(),
+                r.weights.to_string(),
+                format!("{:.1}", r.libm_ns / 1e3),
+                format!("{:.1}", r.dispatched_ns / 1e3),
+                format!("{:.2}x", r.speedup()),
+            ]
+        })
+        .collect();
+    print_table(
+        "σ refill: libm passes vs dispatched σ and ln passes (bit-identical)",
+        &["proxy", "weights", "libm µs", "dispatched µs", "speedup"],
+        &rows,
+    );
+
     let e: &EpsilonBench = &epsilon;
     println!(
         "ε generation ({} values): bit-serial {:.1} µs, word-parallel {:.1} µs ({:.2}x), \
@@ -289,6 +311,7 @@ fn main() {
             &fused,
             &fused_training,
             &passes,
+            &refills,
             &obs,
             &epsilon,
             train_allocs,

@@ -20,6 +20,9 @@
 //! * **training passes** — a Bayesian linear layer's forward sampling-and-scoring and its
 //!   backward, one pass per weight each, against the stored-sample composition they
 //!   replaced, asserted bit-identical before either is timed;
+//! * **σ refill** — the dispatched σ and ln passes of [`bnn_tensor::transcendental`] against
+//!   the libm passes that define their values, at both training proxies' weight counts,
+//!   asserted bit-identical before either is timed;
 //! * **steady-state probes** — a full training iteration ([`TrainingProbe`]) and a served
 //!   request ([`ServeProbe`]), used by the allocation-counting test and by `hot_bench` to
 //!   assert the zero-allocation steady state at the allocator.
@@ -40,6 +43,7 @@ use bnn_tensor::kernels::{
     gemm_accumulate_tiered, linear_matvec, linear_matvec_portable, pack_im2col,
 };
 use bnn_tensor::pool::max_pool2d_into;
+use bnn_tensor::transcendental::{ln_pass, ln_pass_libm, sigma_pass, sigma_pass_libm};
 use bnn_tensor::{KernelConfig, KernelTier, Scratch, Tensor};
 use bnn_train::trainer::{Trainer, TrainerConfig};
 use bnn_train::variational::{BayesConfig, VariationalParams};
@@ -822,6 +826,86 @@ pub fn run_training_pass_benches(reps: usize, samples: usize) -> Vec<TrainingPas
         .collect()
 }
 
+/// Timing of the σ refill at one weight count: the dispatched σ and ln passes against the
+/// libm passes that define their values.
+#[derive(Debug, Clone)]
+pub struct RefillBench {
+    /// Proxy identifier (`refill_<proxy>_<weights>`).
+    pub name: &'static str,
+    /// Weights refilled.
+    pub weights: usize,
+    /// Best-of-reps time of [`sigma_pass_libm`] then [`ln_pass_libm`], in nanoseconds.
+    pub libm_ns: f64,
+    /// Best-of-reps time of [`sigma_pass`] then [`ln_pass`], in nanoseconds.
+    pub dispatched_ns: f64,
+}
+
+impl RefillBench {
+    /// libm / dispatched wall-clock ratio.
+    pub fn speedup(&self) -> f64 {
+        self.libm_ns / self.dispatched_ns
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("name", Json::Str(self.name.to_string())),
+            ("weights", Json::UInt(self.weights as u64)),
+            ("libm_ns", Json::Float(self.libm_ns)),
+            ("dispatched_ns", Json::Float(self.dispatched_ns)),
+            ("speedup", Json::Float(self.speedup())),
+        ])
+    }
+}
+
+/// Timed repetitions of [`run_sigma_refill_benches`] per `reps`: a refill takes tens of
+/// microseconds, so `--reps 20` gives a best of 200.
+const REFILL_REPS_SCALE: usize = 10;
+
+/// A refill's outputs: `e`, σ and ln σ.
+type Refilled = (Vec<f32>, Vec<f32>, Vec<f64>);
+
+/// Refills `out` from `rho` through one σ pass and one ln pass.
+fn refill(
+    rho: &[f32],
+    out: &mut Refilled,
+    sigma: fn(&[f32], &mut [f32], &mut [f32]),
+    ln: fn(&[f32], &mut [f64]),
+) {
+    sigma(rho, &mut out.0, &mut out.1);
+    ln(&out.1, &mut out.2);
+}
+
+/// Times the σ refill, dispatched against libm, at the B-MLP proxy's 4,736 weights and the
+/// B-LeNet proxy's 10,434, with ρ = −4 ± 1 as a network started at `init_rho = −4` has it,
+/// in alternation. Ungated: wall-clock only.
+///
+/// # Panics
+///
+/// Panics if the two arms' `e`, σ or ln σ differ in any bit.
+pub fn run_sigma_refill_benches(reps: usize) -> Vec<RefillBench> {
+    [("refill_bmlp_4736", 4736), ("refill_blenet_10434", 10_434)]
+        .into_iter()
+        .map(|(name, weights)| {
+            let rho = fill_tensor(0x51A ^ weights as u64, &[weights]).map(|r| r - 4.0);
+            let rho = rho.data();
+            let buffers = || (vec![0.0; weights], vec![0.0; weights], vec![0.0; weights]);
+            let (mut libm, mut dispatched): (Refilled, Refilled) = (buffers(), buffers());
+            refill(rho, &mut libm, sigma_pass_libm, ln_pass_libm);
+            refill(rho, &mut dispatched, sigma_pass, ln_pass);
+            assert_eq!(digest_f32(&libm.0), digest_f32(&dispatched.0), "{name}: e diverged");
+            assert_eq!(digest_f32(&libm.1), digest_f32(&dispatched.1), "{name}: σ diverged");
+            let ln_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(ln_bits(&libm.2), ln_bits(&dispatched.2), "{name}: ln σ diverged");
+            let (libm_ns, dispatched_ns) = best_of_alternating(
+                reps * REFILL_REPS_SCALE,
+                || refill(rho, &mut libm, sigma_pass_libm, ln_pass_libm),
+                || refill(rho, &mut dispatched, sigma_pass, ln_pass),
+            );
+            RefillBench { name, weights, libm_ns, dispatched_ns }
+        })
+        .collect()
+}
+
 /// Timing result of the ε-generation and ε-retrieval comparisons.
 #[derive(Debug, Clone)]
 pub struct EpsilonBench {
@@ -1259,7 +1343,7 @@ pub fn summary_json(
 /// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings,
 /// speedups and the geometric mean alongside everything in the summary, plus PR 8's
 /// per-tier GEMM arms, the proxy's column-tail GEMM arms, the fused-serving,
-/// fused-training and training-pass arms and the named `speedups` object gated by
+/// fused-training, training-pass and σ-refill arms and the named `speedups` object gated by
 /// `bench_regression --min-speedup`.
 #[allow(clippy::too_many_arguments)]
 pub fn full_json(
@@ -1271,6 +1355,7 @@ pub fn full_json(
     fused: &FusedBench,
     fused_training: &FusedBench,
     passes: &[TrainingPassBench],
+    refills: &[RefillBench],
     obs: &ObsOverheadBench,
     epsilon: &EpsilonBench,
     train_allocs: u64,
@@ -1282,6 +1367,7 @@ pub fn full_json(
     let simd_tails: Vec<f64> = tails.iter().map(TierBench::simd_speedup).collect();
     let linear_speedups: Vec<f64> = linear.iter().map(LinearBench::speedup).collect();
     let pass_speedups: Vec<f64> = passes.iter().map(TrainingPassBench::speedup).collect();
+    let refill_speedups: Vec<f64> = refills.iter().map(RefillBench::speedup).collect();
     Json::obj([
         (
             "kernels",
@@ -1309,6 +1395,7 @@ pub fn full_json(
         ("fused_serving", fused.json()),
         ("fused_training", fused_training.json()),
         ("training_passes", Json::Array(passes.iter().map(TrainingPassBench::json).collect())),
+        ("sigma_refill", Json::Array(refills.iter().map(RefillBench::json).collect())),
         (
             "obs_serving",
             Json::obj([
@@ -1329,6 +1416,7 @@ pub fn full_json(
                 ("fused_sampling", Json::Float(fused.speedup())),
                 ("fused_training", Json::Float(fused_training.speedup())),
                 ("training_passes", Json::Float(geometric_mean(&pass_speedups))),
+                ("sigma_refill", Json::Float(geometric_mean(&refill_speedups))),
                 ("obs_overhead", Json::Float(obs.overhead())),
                 ("eps_generate", Json::Float(epsilon.speedup())),
                 ("eps_retrieve", Json::Float(epsilon.retrieve_speedup())),
@@ -1414,6 +1502,15 @@ mod tests {
     }
 
     #[test]
+    fn sigma_refill_benches_pin_bit_identity_before_timing() {
+        let refills = run_sigma_refill_benches(1);
+        assert_eq!(refills.iter().map(|r| r.weights).collect::<Vec<_>>(), [4736, 10_434]);
+        for r in &refills {
+            assert!(r.libm_ns > 0.0 && r.dispatched_ns > 0.0, "{}", r.name);
+        }
+    }
+
+    #[test]
     fn full_json_names_the_gated_speedups() {
         let kernels = run_kernel_benches(1);
         let tiers = run_tier_benches(1);
@@ -1421,6 +1518,7 @@ mod tests {
         let fused = run_fused_serve_bench(1, 4);
         let fused_training = run_fused_training_bench(1, 2);
         let passes = run_training_pass_benches(1, 2);
+        let refills = run_sigma_refill_benches(1);
         let obs = run_obs_overhead_bench(1, 8);
         let epsilon = run_epsilon_bench(1, 128);
         let linear = run_linear_benches(1);
@@ -1435,6 +1533,7 @@ mod tests {
             &fused,
             &fused_training,
             &passes,
+            &refills,
             &obs,
             &epsilon,
             0,
@@ -1451,6 +1550,7 @@ mod tests {
             "fused_sampling",
             "fused_training",
             "training_passes",
+            "sigma_refill",
             "obs_overhead",
             "eps_generate",
             "eps_retrieve",

@@ -15,11 +15,11 @@
 //! functions of ρ alone, which changes only at [`VariationalParams::sgd_step`]. They are
 //! therefore cached per weight and computed once per update instead of once per sample.
 
-use bnn_tensor::activation::{softplus, softplus_inverse};
+use bnn_tensor::activation::softplus_inverse;
 use bnn_tensor::init::{fan_in_out, xavier_uniform};
 #[cfg(target_arch = "x86_64")]
 use bnn_tensor::kernels::avx2_available;
-use bnn_tensor::{Precision, Tensor, TensorError};
+use bnn_tensor::{transcendental, Precision, Tensor, TensorError};
 use rand::Rng;
 
 /// Weights per chunk of [`VariationalParams::sample_and_score_into`]'s term pass (256 B of
@@ -63,8 +63,8 @@ impl BayesConfig {
 ///
 /// Both tiers start from one exponential per weight, `e = exp(−|ρ|)`: for ρ < 0 it is the
 /// `exp(ρ)` that `softplus` and `sigmoid` both begin with, for ρ ≥ 0 it is sigmoid's
-/// `exp(−ρ)`. Each pass below runs one libm function over the whole tensor, which measured
-/// faster than one loop calling all of them per weight.
+/// `exp(−ρ)`. The σ tier is [`transcendental::sigma_pass`] and the training tier adds
+/// [`transcendental::ln_pass`]; both run bit-exact vector ports of libm on AVX2+FMA CPUs.
 #[derive(Debug, Clone, Default)]
 struct SigmaCache {
     /// `σ = softplus(ρ)`, current while `sigma_fresh`.
@@ -79,38 +79,26 @@ struct SigmaCache {
 }
 
 impl SigmaCache {
-    /// σ for `rho`, filling it if ρ changed since the last fill: an `exp` pass into the sigmoid
-    /// buffer, then σ from it (an `ln_1p` pass for ρ < 0).
+    /// σ for `rho`, filling it if ρ changed since the last fill: the σ pass writes `e` into
+    /// the sigmoid buffer and σ.
     fn sigma(&mut self, rho: &Tensor) -> &[f32] {
         if !self.sigma_fresh {
-            let rho = rho.data();
-            self.sigmoid.clear();
-            self.sigmoid.extend(rho.iter().map(|&r| (-r.abs()).exp()));
-            self.sigma.clear();
-            self.sigma.extend(rho.iter().zip(&self.sigmoid).map(|(&r, &e)| {
-                // softplus(ρ) with its own exp(ρ) already in `e`; ρ ≥ 0 (where `e` is exp(−ρ))
-                // and NaN take softplus itself.
-                if r < -20.0 {
-                    e
-                } else if r < 0.0 {
-                    e.ln_1p()
-                } else {
-                    softplus(r)
-                }
-            }));
+            self.sigmoid.resize(rho.len(), 0.0);
+            self.sigma.resize(rho.len(), 0.0);
+            transcendental::sigma_pass(rho.data(), &mut self.sigmoid, &mut self.sigma);
             self.sigma_fresh = true;
             self.training_fresh = false;
         }
         &self.sigma
     }
 
-    /// Every cached term for `rho`, filling whichever tier is stale: an f64 `ln` pass over σ,
-    /// then `e` becomes `sigmoid(ρ)` in place.
+    /// Every cached term for `rho`, filling whichever tier is stale: the ln pass over σ, then
+    /// `e` becomes `sigmoid(ρ)` in place.
     fn training(&mut self, rho: &Tensor) -> &Self {
         self.sigma(rho);
         if !self.training_fresh {
-            self.ln_sigma.clear();
-            self.ln_sigma.extend(self.sigma.iter().map(|&s| (s as f64).ln()));
+            self.ln_sigma.resize(self.sigma.len(), 0.0);
+            transcendental::ln_pass(&self.sigma, &mut self.ln_sigma);
             for (e, &r) in self.sigmoid.iter_mut().zip(rho.data()) {
                 // sigmoid's two branches: 1 / (1 + exp(−ρ)) and exp(ρ) / (1 + exp(ρ)).
                 let numerator = if r >= 0.0 { 1.0 } else { *e };
@@ -212,9 +200,13 @@ impl VariationalParams {
         &self.rho
     }
 
-    /// The posterior standard deviation `σ = softplus(ρ)`.
+    /// The posterior standard deviation `σ = softplus(ρ)`, from the σ pass that fills the
+    /// sampling cache, so both hold the same bits.
     pub fn sigma(&self) -> Tensor {
-        self.rho.map(softplus)
+        let mut sigma = Tensor::zeros(self.shape());
+        let mut e = vec![0.0; self.len()];
+        transcendental::sigma_pass(self.rho.data(), &mut e, sigma.data_mut());
+        sigma
     }
 
     /// Number of weights.
@@ -590,7 +582,7 @@ impl BackwardRow<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_tensor::activation::sigmoid;
+    use bnn_tensor::activation::{sigmoid, softplus};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -796,16 +788,42 @@ mod tests {
             f32::INFINITY,
         ];
         rho.extend((0..2_000).map(|i| i as f32 * 0.0271 - 27.1));
-        let mut p = from_mu_rho(vec![0.0; rho.len()], rho.clone());
+        assert_refill_is_softplus_ln_and_sigmoid(&rho, "branches");
+
+        // Every tail length past the 8-weight chunks of the vector passes, around the B-LeNet
+        // proxy's largest block, with every ρ inside the ports' domains.
+        let in_domain = |i: usize| -4.0 + (i % 13) as f32 * 0.23 - 1.4;
+        for len in (0..=17).chain(9215..=9217) {
+            let rho: Vec<f32> = (0..len).map(in_domain).collect();
+            assert_refill_is_softplus_ln_and_sigmoid(&rho, &format!("len {len}"));
+        }
+
+        // One lane outside the ports' domains at each position of a chunk: e past log1pf's
+        // k = 0 branch (−0.88), one ulp below −20, ±0, ρ > 0, NaN, −∞, and a σ inside
+        // `log`'s near-1 window (softplus(0.55) ≈ 1.005).
+        for outside in [-0.88, -20.000002, -0.0, 0.0, 3.0, f32::NAN, f32::NEG_INFINITY, 0.55] {
+            for lane in 0..8 {
+                let mut rho: Vec<f32> = (0..24).map(in_domain).collect();
+                rho[8 + lane] = outside;
+                assert_refill_is_softplus_ln_and_sigmoid(&rho, &format!("ρ = {outside} at {lane}"));
+            }
+        }
+    }
+
+    /// Checks both cache tiers, filled from `rho`, and [`VariationalParams::sigma`] against
+    /// `softplus`, `(σ as f64).ln()` and `sigmoid` bit for bit.
+    fn assert_refill_is_softplus_ln_and_sigmoid(rho: &[f32], case: &str) {
+        let mut p = from_mu_rho(vec![0.0; rho.len()], rho.to_vec());
         let want_sigma: Vec<f32> = rho.iter().map(|&r| softplus(r)).collect();
-        assert_eq!(bits(p.cache.sigma(&p.rho)), bits(&want_sigma), "σ tier");
+        assert_eq!(bits(p.sigma().data()), bits(&want_sigma), "{case}: sigma()");
+        assert_eq!(bits(p.cache.sigma(&p.rho)), bits(&want_sigma), "{case}: σ tier");
         let terms = p.cache.training(&p.rho);
-        assert_eq!(bits(&terms.sigma), bits(&want_sigma), "σ after the training tier");
+        assert_eq!(bits(&terms.sigma), bits(&want_sigma), "{case}: σ after the training tier");
         let ln_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let want_ln: Vec<f64> = want_sigma.iter().map(|&s| (s as f64).ln()).collect();
-        assert_eq!(ln_bits(&terms.ln_sigma), ln_bits(&want_ln), "ln σ");
+        assert_eq!(ln_bits(&terms.ln_sigma), ln_bits(&want_ln), "{case}: ln σ");
         let want_sigmoid: Vec<f32> = rho.iter().map(|&r| sigmoid(r)).collect();
-        assert_eq!(bits(&terms.sigmoid), bits(&want_sigmoid), "sigmoid(ρ)");
+        assert_eq!(bits(&terms.sigmoid), bits(&want_sigmoid), "{case}: sigmoid(ρ)");
     }
 
     #[test]

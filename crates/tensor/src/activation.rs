@@ -81,7 +81,8 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Inverse of softplus: returns `ρ` such that `softplus(ρ) = σ`.
+/// Inverse of softplus: returns `ρ` such that `softplus(ρ) = σ`, as `ln(exp_m1(σ))`, so a
+/// small σ keeps its digits (`exp(σ) − 1` rounds to 0 for σ below about 6e-8).
 ///
 /// # Panics
 ///
@@ -91,7 +92,7 @@ pub fn softplus_inverse(sigma: f32) -> f32 {
     if sigma > 20.0 {
         sigma
     } else {
-        (sigma.exp() - 1.0).ln()
+        sigma.exp_m1().ln()
     }
 }
 
@@ -121,7 +122,7 @@ mod tests {
 
     #[test]
     fn softplus_inverse_round_trips() {
-        for &s in &[0.01f32, 0.1, 0.5, 1.0, 5.0, 30.0] {
+        for &s in &[1e-30f32, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0] {
             let rho = softplus_inverse(s);
             assert!((softplus(rho) - s).abs() / s < 1e-3, "sigma {s}");
         }

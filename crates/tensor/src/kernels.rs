@@ -388,9 +388,10 @@ pub fn avx2_available() -> bool {
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// Returns whether the running CPU has AVX2 + FMA (detected once, cached).
+/// Returns whether the running CPU has AVX2 + FMA (detected once, cached): the guard of the
+/// FastMath GEMM and of the libm ports in [`crate::transcendental`].
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     static FMA: OnceLock<bool> = OnceLock::new();
     *FMA.get_or_init(|| {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")

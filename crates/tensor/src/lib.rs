@@ -10,7 +10,9 @@
 //! * [`activation`] — ReLU, softplus (for the σ parameterization) and sigmoid;
 //! * [`loss`] — softmax cross-entropy (the log-likelihood term of the ELBO) and MSE;
 //! * [`quant`] — 8-/16-/32-bit precision emulation used for the paper's Table 1;
-//! * [`init`] — deterministic weight initializers.
+//! * [`init`] — deterministic weight initializers;
+//! * [`transcendental`] — the σ refill's passes: bit-exact AVX2+FMA ports of the host libm's
+//!   `expf`, `log1pf` and `log`.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@ pub mod profile;
 pub mod quant;
 pub mod scratch;
 mod tensor;
+pub mod transcendental;
 
 pub use kernels::{KernelConfig, KernelTier};
 pub use quant::Precision;
