@@ -3,84 +3,43 @@
 //! tolerance — so a simulator, model or engine change can no longer shift the recorded
 //! numbers without the diff saying so.
 //!
-//! Both inputs are JSON documents produced by this repo's own deterministic serializer
-//! (`BENCH_sweep_summary.json` from `sweep_all`, `BENCH_serve_summary.json` from
-//! `serve_bench`, `BENCH_cluster_summary.json` from `cluster_bench`). Structure must match
-//! exactly; numeric leaves may differ by the relative
-//! tolerance (default 1e-9 — the summaries are deterministic, so the default is effectively
-//! "identical up to float printing").
+//! Both inputs are JSON documents produced by this repo's own deterministic serializer: a
+//! committed `BENCH_<name>_summary.json` and the fresh summary the same binary just wrote
+//! (`sweep_all`, `serve_bench`, `moment_bench`, `cluster_bench`, `chaos_bench`,
+//! `obs_bench`, `hot_bench` or `store_bench`). Structure must match exactly; numeric leaves
+//! may differ by a relative tolerance of 1e-9 — the summaries are deterministic, so this is
+//! "identical up to float printing".
 //!
-//! A second, independent gate guards the PR 8 kernel-tier work: `--speedups FILE` points at a
-//! full `BENCH_hot.json` report (whose `speedups` object names machine-measured ratios like
-//! `simd_gemm` and `fused_sampling`), and each repeatable `--min-speedup name:floor` fails the
-//! run when that named ratio falls below its floor. Drift comparison and speedup gating can
-//! run together or alone.
+//! A second, independent gate holds machine-measured ratios to floors: `--speedups FILE`
+//! points at a full report whose `speedups` object names them (`BENCH_hot.json`'s
+//! `simd_gemm`, `conv_kernels` or `eps_retrieve`, `BENCH_chaos.json`'s
+//! `ladder_availability`), and each repeatable `--min-speedup name:floor` fails the run when
+//! that named ratio falls below its floor. Drift comparison and speedup gating can run
+//! together or alone.
 //!
 //! Usage: `cargo run --release -p shift-bnn-bench --bin bench_regression -- \
 //!   [--baseline BENCH_sweep_summary.json --fresh out/BENCH_sweep_summary.json] \
-//!   [--tolerance 1e-9] [--speedups out/BENCH_hot.json] \
+//!   [--speedups out/BENCH_hot.json] \
 //!   [--min-speedup simd_gemm:1.3] [--min-speedup eps_retrieve:3.0]`
 
 use shift_bnn::sweep::json::Json;
+use shift_bnn_bench::harness::Flags;
 use shift_bnn_bench::regression::compare;
 
-struct Args {
-    baseline: Option<String>,
-    fresh: Option<String>,
-    tolerance: f64,
-    speedups: Option<String>,
-    min_speedups: Vec<(String, f64)>,
-}
+/// The relative tolerance on numeric leaves.
+const TOLERANCE: f64 = 1e-9;
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        baseline: None,
-        fresh: None,
-        tolerance: 1e-9,
-        speedups: None,
-        min_speedups: Vec::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => args.baseline = Some(it.next().expect("--baseline needs a path")),
-            "--fresh" => args.fresh = Some(it.next().expect("--fresh needs a path")),
-            "--tolerance" => {
-                let v = it.next().expect("--tolerance needs a value");
-                args.tolerance = v.parse().expect("--tolerance must be a float");
-                assert!(args.tolerance >= 0.0, "--tolerance must be non-negative");
-            }
-            "--speedups" => args.speedups = Some(it.next().expect("--speedups needs a path")),
-            "--min-speedup" => {
-                let v = it.next().expect("--min-speedup needs name:floor");
-                let (name, floor) = v
-                    .split_once(':')
-                    .expect("--min-speedup must be name:floor, e.g. simd_gemm:1.3");
-                let floor: f64 = floor.parse().expect("--min-speedup floor must be a float");
-                assert!(floor > 0.0, "--min-speedup floor must be positive");
-                args.min_speedups.push((name.to_string(), floor));
-            }
-            other => panic!(
-                "unknown argument {other} (expected --baseline PATH, --fresh PATH, \
-                 --tolerance X, --speedups PATH, --min-speedup name:floor)"
-            ),
-        }
-    }
-    assert_eq!(
-        args.baseline.is_some(),
-        args.fresh.is_some(),
-        "--baseline and --fresh must be given together"
-    );
-    assert!(
-        args.min_speedups.is_empty() || args.speedups.is_some(),
-        "--min-speedup needs --speedups FILE to read the measured ratios from"
-    );
-    assert!(
-        args.baseline.is_some() || args.speedups.is_some(),
-        "nothing to do: give --baseline/--fresh, --speedups gates, or both"
-    );
-    args
-}
+/// Each committed baseline and the binary that writes it at the repo root.
+const BASELINES: [(&str, &str); 8] = [
+    ("BENCH_sweep_summary.json", "sweep_all"),
+    ("BENCH_serve_summary.json", "serve_bench"),
+    ("BENCH_moment_summary.json", "moment_bench"),
+    ("BENCH_cluster_summary.json", "cluster_bench"),
+    ("BENCH_chaos_summary.json", "chaos_bench"),
+    ("BENCH_obs_summary.json", "obs_bench"),
+    ("BENCH_hot_summary.json", "hot_bench"),
+    ("BENCH_store_summary.json", "store_bench"),
+];
 
 /// Reads the named ratio from the report's top-level `speedups` object.
 fn named_speedup(report: &Json, path: &str, name: &str) -> f64 {
@@ -106,40 +65,77 @@ fn load(path: &str) -> Json {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut baseline: Option<String> = None;
+    let mut fresh: Option<String> = None;
+    let mut speedups: Option<String> = None;
+    let mut min_speedups: Vec<(String, f64)> = Vec::new();
+    Flags::from_env(
+        "[--baseline PATH --fresh PATH] [--speedups PATH] [--min-speedup name:floor]...",
+    )
+    .read(|flag, flags| {
+        match flag {
+            "--baseline" => baseline = Some(flags.value(flag)),
+            "--fresh" => fresh = Some(flags.value(flag)),
+            "--speedups" => speedups = Some(flags.value(flag)),
+            "--min-speedup" => {
+                let v: String = flags.value(flag);
+                let (name, floor) = v
+                    .split_once(':')
+                    .expect("--min-speedup must be name:floor, e.g. simd_gemm:1.3");
+                let floor: f64 = floor.parse().expect("--min-speedup floor must be a float");
+                assert!(floor > 0.0, "--min-speedup floor must be positive");
+                min_speedups.push((name.to_string(), floor));
+            }
+            _ => return false,
+        }
+        true
+    });
+    assert_eq!(
+        baseline.is_some(),
+        fresh.is_some(),
+        "--baseline and --fresh must be given together"
+    );
+    assert!(
+        min_speedups.is_empty() || speedups.is_some(),
+        "--min-speedup needs --speedups FILE to read the measured ratios from"
+    );
+    assert!(
+        baseline.is_some() || speedups.is_some(),
+        "nothing to do: give --baseline/--fresh, --speedups gates, or both"
+    );
 
-    if let (Some(baseline_path), Some(fresh_path)) = (&args.baseline, &args.fresh) {
-        let baseline = load(baseline_path);
-        let fresh = load(fresh_path);
-        let mismatches = compare(&baseline, &fresh, args.tolerance);
+    if let (Some(baseline_path), Some(fresh_path)) = (&baseline, &fresh) {
+        let mismatches = compare(&load(baseline_path), &load(fresh_path), TOLERANCE);
         if mismatches.is_empty() {
             println!(
-                "bench_regression: {fresh_path} matches {baseline_path} within tolerance {:e}",
-                args.tolerance
+                "bench_regression: {fresh_path} matches {baseline_path} within tolerance \
+                 {TOLERANCE:e}"
             );
         } else {
             eprintln!(
                 "bench_regression: {fresh_path} drifted from {baseline_path} ({} mismatch(es), \
-                 tolerance {:e}):",
+                 tolerance {TOLERANCE:e}):",
                 mismatches.len(),
-                args.tolerance
             );
             for mismatch in &mismatches {
                 eprintln!("  {mismatch}");
             }
             eprintln!(
-                "\nIf the drift is intentional, regenerate the committed baseline (run sweep_all \
-                 / serve_bench / cluster_bench without --reduced at the repo root) and commit \
-                 the updated summary."
+                "\nIf the drift is intentional, regenerate the committed baseline at the repo \
+                 root with `cargo run --release -p shift-bnn-bench --bin <binary>` and commit \
+                 the updated summary:"
             );
+            for (file, binary) in BASELINES {
+                eprintln!("  {file:<28} {binary}");
+            }
             std::process::exit(1);
         }
     }
 
-    if let Some(path) = &args.speedups {
+    if let Some(path) = &speedups {
         let report = load(path);
         let mut failed = false;
-        for (name, floor) in &args.min_speedups {
+        for (name, floor) in &min_speedups {
             let measured = named_speedup(&report, path, name);
             if measured >= *floor {
                 println!(

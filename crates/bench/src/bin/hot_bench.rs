@@ -27,16 +27,19 @@
 //!    allocator** via the binary's counting `#[global_allocator]` — all must be zero after
 //!    warmup, and the run fails otherwise.
 //!
-//! Outputs: a human table on stdout, the full timing report to `--out` (machine-dependent,
-//! a CI artifact), and the deterministic summary (digests + allocation counts, no timings)
-//! to `--summary` — the file committed as `BENCH_hot_summary.json` and drift-gated by
-//! `bench_regression` on every PR and nightly.
+//! Outputs: a human table on stdout, the full timing report (machine-dependent, a CI
+//! artifact) to `BENCH_hot.json`, and the deterministic summary (digests + allocation counts,
+//! no timings) to `BENCH_hot_summary.json` — the committed baseline drift-gated by
+//! `bench_regression` on every PR and nightly. `--out` and `--summary` move either file. The
+//! report's `speedups` object holds every ratio a `bench_regression --min-speedup` floor
+//! reads, the conv kernels' geometric mean (`conv_kernels`) included.
 //!
 //! Usage: `cargo run --release -p shift-bnn-bench --bin hot_bench -- \
-//!   [--reps N] [--out BENCH_hot.json] [--summary BENCH_hot_summary.json] [--min-speedup X]`
+//!   [--reps N] [--out PATH] [--summary PATH]`
 
 use bnn_tensor::KernelTier;
 use shift_bnn_bench::alloc::CountingAlloc;
+use shift_bnn_bench::harness::{Flags, Outputs};
 use shift_bnn_bench::hot::{
     full_json, geometric_mean, run_data_pass_benches, run_epsilon_bench, run_fused_serve_bench,
     run_fused_training_bench, run_kernel_benches, run_linear_benches, run_obs_overhead_bench,
@@ -48,43 +51,6 @@ use shift_bnn_bench::print_table;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::system();
-
-struct Args {
-    reps: usize,
-    out: Option<String>,
-    summary: Option<String>,
-    min_speedup: f64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { reps: 60, out: None, summary: None, min_speedup: 0.0 };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .expect("--reps needs a count")
-                    .parse()
-                    .expect("--reps must be an integer")
-            }
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            "--summary" => args.summary = Some(it.next().expect("--summary needs a path")),
-            "--min-speedup" => {
-                args.min_speedup = it
-                    .next()
-                    .expect("--min-speedup needs a value")
-                    .parse()
-                    .expect("--min-speedup must be a float")
-            }
-            other => panic!(
-                "unknown argument {other} (expected --reps N, --out PATH, --summary PATH, \
-                 --min-speedup X)"
-            ),
-        }
-    }
-    args
-}
 
 /// Measures total steady-state allocations across `measured` iterations of `work` after
 /// `warmup` warmup calls — the raw count, so even a single allocation anywhere in the
@@ -116,19 +82,27 @@ fn print_tiers(title: &str, tiers: &[TierBench]) {
 }
 
 fn main() {
-    let args = parse_args();
+    let mut reps = 60;
+    let mut outputs = Outputs::new("hot");
+    Flags::from_env("[--reps N] [--out PATH] [--summary PATH]").read(|flag, flags| {
+        match flag {
+            "--reps" => reps = flags.value(flag),
+            _ => return outputs.take(flag, flags),
+        }
+        true
+    });
 
-    let kernels = run_kernel_benches(args.reps);
-    let tiers = run_tier_benches(args.reps);
-    let tails = run_tail_benches(args.reps);
-    let linear = run_linear_benches(args.reps);
-    let data_passes = run_data_pass_benches(args.reps);
-    let fused = run_fused_serve_bench(args.reps, 16);
-    let fused_training = run_fused_training_bench(args.reps, 8);
-    let passes = run_training_pass_benches(args.reps, 8);
-    let refills = run_sigma_refill_benches(args.reps);
-    let obs = run_obs_overhead_bench(args.reps, 48);
-    let epsilon = run_epsilon_bench(args.reps, 16 * 1024);
+    let kernels = run_kernel_benches(reps);
+    let tiers = run_tier_benches(reps);
+    let tails = run_tail_benches(reps);
+    let linear = run_linear_benches(reps);
+    let data_passes = run_data_pass_benches(reps);
+    let fused = run_fused_serve_bench(reps, 16);
+    let fused_training = run_fused_training_bench(reps, 8);
+    let passes = run_training_pass_benches(reps, 8);
+    let refills = run_sigma_refill_benches(reps);
+    let obs = run_obs_overhead_bench(reps, 48);
+    let epsilon = run_epsilon_bench(reps, 16 * 1024);
 
     // Allocation probes: warm two iterations (arena growth, Vec capacity), then measure.
     let mut training = TrainingProbe::new();
@@ -151,7 +125,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Hot-path kernels: retained reference loops vs im2col+blocked GEMM (bit-identical)",
+        "Hot-path kernels: reference loops vs packed im2col + default-tier GEMM (bit-identical)",
         &["geometry", "op", "reference µs", "packed µs", "speedup"],
         &rows,
     );
@@ -293,37 +267,22 @@ fn main() {
     assert_eq!(train_allocs, 0, "steady-state training iteration must not allocate");
     assert_eq!(serve_allocs, 0, "steady-state served request must not allocate");
     assert_eq!(traced_allocs, 0, "steady-state traced request must not allocate");
-    if args.min_speedup > 0.0 {
-        assert!(
-            geomean >= args.min_speedup,
-            "geometric-mean speedup {geomean:.2}x below required {:.2}x",
-            args.min_speedup
-        );
-    }
-
-    if let Some(path) = &args.out {
-        let doc = full_json(
-            &kernels,
-            &tiers,
-            &tails,
-            &linear,
-            &data_passes,
-            &fused,
-            &fused_training,
-            &passes,
-            &refills,
-            &obs,
-            &epsilon,
-            train_allocs,
-            serve_allocs,
-            traced_allocs,
-        );
-        std::fs::write(path, doc.to_pretty() + "\n").expect("write full report");
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.summary {
-        let doc = summary_json(&kernels, &epsilon, train_allocs, serve_allocs, traced_allocs);
-        std::fs::write(path, doc.to_pretty() + "\n").expect("write summary");
-        println!("wrote {path}");
-    }
+    let doc = full_json(
+        &kernels,
+        &tiers,
+        &tails,
+        &linear,
+        &data_passes,
+        &fused,
+        &fused_training,
+        &passes,
+        &refills,
+        &obs,
+        &epsilon,
+        train_allocs,
+        serve_allocs,
+        traced_allocs,
+    );
+    let summary = summary_json(&kernels, &epsilon, train_allocs, serve_allocs, traced_allocs);
+    outputs.write(&doc, &summary);
 }

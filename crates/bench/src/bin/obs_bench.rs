@@ -15,85 +15,32 @@
 //!   `bench_regression` and the golden suite).
 //!
 //! Usage: `cargo run --release -p shift-bnn-bench --bin obs_bench -- [--reduced]
-//! [--workers N] [--out PATH] [--summary PATH]`
+//! [--out PATH] [--summary PATH]`
 
-use std::time::Instant;
-
-use shift_bnn::pool;
 use shift_bnn::sweep::json::Json;
+use shift_bnn_bench::harness::{two_passes, Outputs};
 use shift_bnn_bench::obs_views::{obs_summary_json, run_obs_grid};
-use shift_bnn_bench::{num, print_table};
-
-struct Args {
-    reduced: bool,
-    workers: usize,
-    out: String,
-    summary: String,
-}
-
-fn parse_args() -> Args {
-    // Like chaos_bench: even on a single-CPU machine the parallel pass uses at least two
-    // workers per shard so the worker-invariance assertion exercises the pooled scheduler.
-    let mut args = Args {
-        reduced: false,
-        workers: pool::default_workers().max(2),
-        out: "BENCH_obs.json".to_string(),
-        summary: String::new(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--reduced" => args.reduced = true,
-            "--workers" => {
-                let v = it.next().expect("--workers needs a value");
-                args.workers = v.parse().expect("--workers must be a positive integer");
-                assert!(args.workers >= 1, "--workers must be >= 1");
-            }
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            "--summary" => args.summary = it.next().expect("--summary needs a path"),
-            other => panic!(
-                "unknown argument {other} (expected --reduced, --workers N, --out PATH, --summary PATH)"
-            ),
-        }
-    }
-    if args.summary.is_empty() {
-        // A reduced run's summary differs from the committed full baseline (shorter traces),
-        // so it defaults to a sibling path rather than clobbering the committed file.
-        args.summary = if args.reduced {
-            "BENCH_obs_summary_reduced.json".to_string()
-        } else {
-            "BENCH_obs_summary.json".to_string()
-        };
-    }
-    args
-}
+use shift_bnn_bench::print_table;
 
 fn main() {
-    let args = parse_args();
+    let outputs = Outputs::grid("obs", std::env::args().skip(1));
     println!(
         "obs grid: 5 configs (crash_storm x 4 arrival processes + two_tier), each run traced \
-         AND untraced on 4 shards; 1 worker/shard vs {} workers/shard",
-        args.workers
+         AND untraced on 4 shards"
     );
 
-    // Serial pass: timed per grid, kept as the canonical results. Every record already
-    // asserts traced-vs-untraced byte identity and exact stage coverage internally.
-    let serial_start = Instant::now();
-    let grid = run_obs_grid(args.reduced, 1);
-    let serial_ns = serial_start.elapsed().as_nanos();
-    let summary = obs_summary_json(&grid, args.reduced);
-
-    // Parallel pass: the recorder lives on the orchestration thread, so the recorded
+    // Every record already asserts traced-vs-untraced byte identity and exact stage
+    // coverage internally. The recorder lives on the orchestration thread, so the recorded
     // stream — and with it every digest in the summary — must not move with worker count.
-    let parallel_start = Instant::now();
-    let parallel = run_obs_grid(args.reduced, args.workers);
-    let parallel_ns = parallel_start.elapsed().as_nanos();
-    assert_eq!(
-        summary.to_compact(),
-        obs_summary_json(&parallel, args.reduced).to_compact(),
-        "1-worker and {}-worker obs summaries must be byte-identical",
-        args.workers
+    let passes = two_passes(
+        |workers| {
+            let grid = run_obs_grid(outputs.reduced, workers);
+            let summary = obs_summary_json(&grid, outputs.reduced);
+            (grid, summary)
+        },
+        |(_, summary)| vec![("obs summary".to_string(), summary.to_compact())],
     );
+    let (grid, summary) = &passes.results;
 
     let table = |record: &Json, stage: &str, field: &str| -> String {
         record
@@ -136,34 +83,6 @@ fn main() {
         &rows,
     );
 
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "\nwall clock: grid 1 worker/shard {} ms, {} workers/shard {} ms; summaries byte-identical",
-        num(serial_ns as f64 / 1e6, 1),
-        args.workers,
-        num(parallel_ns as f64 / 1e6, 1),
-    );
-
-    // Full artifact: the deterministic summary plus wall clocks and per-grid-point reports.
-    let bench = Json::obj([
-        ("schema", Json::Str("shift-bnn-bench-obs/v1".into())),
-        ("reduced", Json::Bool(args.reduced)),
-        (
-            "timing",
-            Json::obj([
-                ("available_parallelism", Json::UInt(cpus as u64)),
-                ("workers_serial", Json::UInt(1)),
-                ("workers_parallel", Json::UInt(args.workers as u64)),
-                ("serial_total_ns", Json::UInt(serial_ns as u64)),
-                ("parallel_total_ns", Json::UInt(parallel_ns as u64)),
-                ("summaries_byte_identical", Json::Bool(true)),
-            ]),
-        ),
-        ("summary", summary.clone()),
-        ("runs", Json::Array(grid.iter().map(|run| run.report.to_json()).collect())),
-    ]);
-    std::fs::write(&args.out, bench.to_pretty() + "\n").expect("write BENCH_obs.json");
-    std::fs::write(&args.summary, summary.to_pretty() + "\n")
-        .expect("write BENCH_obs_summary.json");
-    println!("wrote {} and {} (5 grid configs)", args.out, args.summary);
+    let runs = Json::Array(grid.iter().map(|run| run.report.to_json()).collect());
+    outputs.write_grid(&passes, [("summary", summary.clone()), ("runs", runs)], summary);
 }

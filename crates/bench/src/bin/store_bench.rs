@@ -10,56 +10,33 @@
 //!    responses at 1 and N workers) and hot-swaps to v2 mid-trace, measuring the swap's
 //!    activation latency in **ticks** (deterministic — committed).
 //!
-//! Outputs: a human table on stdout, the full timing report to `--out` (machine-dependent, a
-//! CI artifact), and the deterministic summary (sizes, digests, versions, tick boundaries) to
-//! `--summary` — the file committed as `BENCH_store_summary.json` and drift-gated by
-//! `bench_regression` on every PR and nightly.
+//! Outputs: a human table on stdout, the full timing report (machine-dependent, a CI
+//! artifact) to `BENCH_store.json`, and the deterministic summary (sizes, digests, versions,
+//! tick boundaries) to `BENCH_store_summary.json` — the committed baseline drift-gated by
+//! `bench_regression` on every PR and nightly. `--out` and `--summary` move either file.
 //!
 //! Usage: `cargo run --release -p shift-bnn-bench --bin store_bench -- \
-//!   [--reps N] [--registry PATH] [--out BENCH_store.json] [--summary BENCH_store_summary.json]`
+//!   [--reps N] [--registry PATH] [--out PATH] [--summary PATH]`
 
+use shift_bnn_bench::harness::{Flags, Outputs};
 use shift_bnn_bench::store_views::{full_json, run_store_bench, summary_json};
 use shift_bnn_bench::{num, print_table};
 
-struct Args {
-    reps: usize,
-    registry: String,
-    out: Option<String>,
-    summary: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        reps: 20,
-        registry: "target/tmp/store_bench-registry".to_string(),
-        out: None,
-        summary: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .expect("--reps needs a count")
-                    .parse()
-                    .expect("--reps must be an integer")
-            }
-            "--registry" => args.registry = it.next().expect("--registry needs a path"),
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            "--summary" => args.summary = Some(it.next().expect("--summary needs a path")),
-            other => panic!(
-                "unknown argument {other} (expected --reps N, --registry PATH, --out PATH, \
-                 --summary PATH)"
-            ),
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    let results = run_store_bench(std::path::Path::new(&args.registry), args.reps);
+    let mut reps = 20;
+    let mut registry = "target/tmp/store_bench-registry".to_string();
+    let mut outputs = Outputs::new("store");
+    Flags::from_env("[--reps N] [--registry PATH] [--out PATH] [--summary PATH]").read(
+        |flag, flags| {
+            match flag {
+                "--reps" => reps = flags.value(flag),
+                "--registry" => registry = flags.value(flag),
+                _ => return outputs.take(flag, flags),
+            }
+            true
+        },
+    );
+    let results = run_store_bench(std::path::Path::new(&registry), reps);
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -96,12 +73,5 @@ fn main() {
         shift_bnn_bench::store_views::STORE_SWAP_TICK
     );
 
-    if let Some(path) = &args.out {
-        std::fs::write(path, full_json(&results).to_pretty() + "\n").expect("write full report");
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.summary {
-        std::fs::write(path, summary_json(&results).to_pretty() + "\n").expect("write summary");
-        println!("wrote {path}");
-    }
+    outputs.write(&full_json(&results), &summary_json(&results));
 }

@@ -1340,11 +1340,11 @@ pub fn summary_json(
     ])
 }
 
-/// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings,
-/// speedups and the geometric mean alongside everything in the summary, plus PR 8's
-/// per-tier GEMM arms, the proxy's column-tail GEMM arms, the fused-serving,
-/// fused-training, training-pass and σ-refill arms and the named `speedups` object gated by
-/// `bench_regression --min-speedup`.
+/// Builds the full (machine-dependent) report written to `BENCH_hot.json` — timings and
+/// speedups alongside everything in the summary, plus PR 8's per-tier GEMM arms, the
+/// proxy's column-tail GEMM arms, the fused-serving, fused-training, training-pass and
+/// σ-refill arms and the named `speedups` object gated by `bench_regression --min-speedup`
+/// (`conv_kernels` is the conv kernels' geometric-mean speedup over the reference loops).
 #[allow(clippy::too_many_arguments)]
 pub fn full_json(
     kernels: &[KernelBench],
@@ -1387,7 +1387,6 @@ pub fn full_json(
                     .collect(),
             ),
         ),
-        ("geometric_mean_speedup", Json::Float(geometric_mean(&speedups))),
         ("kernel_tiers", Json::Array(tiers.iter().map(TierBench::json).collect())),
         ("kernel_tail_tiers", Json::Array(tails.iter().map(TierBench::json).collect())),
         ("linear_matvec", Json::Array(linear.iter().map(LinearBench::json).collect())),
@@ -1410,6 +1409,7 @@ pub fn full_json(
         (
             "speedups",
             Json::obj([
+                ("conv_kernels", Json::Float(geometric_mean(&speedups))),
                 ("simd_gemm", Json::Float(geometric_mean(&simd))),
                 ("simd_gemm_tails", Json::Float(geometric_mean(&simd_tails))),
                 ("linear_matvec", Json::Float(geometric_mean(&linear_speedups))),
@@ -1543,6 +1543,7 @@ mod tests {
         .to_compact();
         for name in [
             "speedups",
+            "conv_kernels",
             "simd_gemm",
             "simd_gemm_tails",
             "linear_matvec",

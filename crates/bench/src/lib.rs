@@ -16,11 +16,14 @@
 //! comparison behind the CI bench-regression gate in [`regression`].
 
 //! The hot-path kernel microbenchmarks (`hot_bench`) live in [`hot`], and the allocation
-//! counter enforcing the zero-allocation steady state in [`alloc`].
+//! counter enforcing the zero-allocation steady state in [`alloc`]. The benchmark binaries
+//! read their flags, run their 1-vs-N-worker identity pass and write their two files
+//! through [`harness`].
 
 pub mod alloc;
 pub mod chaos_views;
 pub mod cluster_views;
+pub mod harness;
 pub mod hot;
 pub mod moment_views;
 pub mod obs_views;

@@ -1,8 +1,9 @@
 //! Numeric-tree comparison behind the CI bench-regression gate.
 //!
-//! The committed baselines (`BENCH_sweep_summary.json`, `BENCH_serve_summary.json`) hold only
-//! deterministic headline scalars, so a fresh run should reproduce them *exactly*; the
-//! tolerance knob exists to keep the checker honest about what drifted and by how much rather
+//! The committed baselines (the eight `BENCH_<name>_summary.json` files of the sweep, serve,
+//! moment, cluster, chaos, obs, hot-path and store benchmarks) hold only deterministic
+//! headline scalars and digests, so a fresh run should reproduce them *exactly*; the
+//! tolerance exists to keep the checker honest about what drifted and by how much rather
 //! than failing on the first ULP if a future change legitimately perturbs float ordering.
 //! Structure (keys, array lengths, strings, bools) always compares exactly.
 
